@@ -7,17 +7,13 @@ after printing a single machine-parsable line to stderr of the form
     ERROR[category] message
 
 with category one of usage, config, dataset, io, checkpoint, numeric.
-SALATTN_THREADS caps the worker pool for per-frame work (0 or unset means
-auto); results do not depend on the thread count.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -40,19 +36,6 @@ class CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CliError("usage", message)
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("SALATTN_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise CliError("config", f"SALATTN_THREADS must be an integer, got {raw!r}") from None
-    if n < 0:
-        raise CliError("config", f"SALATTN_THREADS must be >= 0, got {n}")
-    if n == 0:
-        return min(8, os.cpu_count() or 1)
-    return n
 
 
 def _load_cfg(path) -> RunConfig:
@@ -171,10 +154,12 @@ def cmd_infer(cfg: RunConfig, checkpoint, frames_dir) -> int:
     for n, f in zip(names, frames):
         if f.shape != shape0:
             raise CliError("dataset", f"frame {n} shape {f.shape} differs from {shape0}")
+    if shape0[0] % 8 or shape0[1] % 8:
+        raise CliError("dataset", f"frame extents must be divisible by 8, "
+                                  f"got {shape0[0]}x{shape0[1]}")
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        maps = list(pool.map(lambda f: model.forward(f).saliency.data, frames))
+    maps = [model.forward(f).saliency.data for f in frames]
     for name, sal in zip(names, maps):
         write_pgm(out / (Path(name).stem + ".pgm"), sal)
     print(f"wrote {len(names)} saliency maps to {out}")
@@ -209,16 +194,12 @@ def cmd_eval(pred_dir, gt_dir, out_dir) -> int:
     if not preds:
         raise CliError("dataset", f"no .pgm files under {pred_dir}")
 
-    ids = sorted(preds)
-    threads = _thread_count()
-
-    def one(frame_id):
-        pred = read_pgm(preds[frame_id])
-        gt = (read_pgm(gts[frame_id]) >= 0.5).astype(np.float64)
-        return frame_id, pred, gt
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        triples = list(pool.map(one, ids))
+    triples = [(i, read_pgm(preds[i]), (read_pgm(gts[i]) >= 0.5).astype(np.float64))
+               for i in sorted(preds)]
+    for frame_id, pred, gt in triples:
+        if pred.shape != gt.shape:
+            raise CliError("dataset", f"frame {frame_id}: prediction shape {pred.shape} "
+                                      f"differs from ground truth {gt.shape}")
     report = metrics.evaluate_frames(triples)
 
     out = Path(out_dir) if out_dir else pred_root

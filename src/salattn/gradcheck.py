@@ -80,207 +80,84 @@ def _t(rng, shape, lo=-1.0, hi=1.0) -> Tensor:
     return T.parameter(rng.uniform(lo, hi, shape))
 
 
-def _proj(rng, shape) -> Tensor:
-    return T.constant(rng.uniform(-1.0, 1.0, shape))
+# A case builder maps an rng to (op, inputs): op takes the input tensors
+# positionally and returns a tensor. run_suite checks the scalar
+# sum(P * op(inputs)) for a random constant P shaped like op's output.
 
 
-def _scalarized(out: Tensor, proj: Tensor) -> Tensor:
-    return T.sum_all(T.mul(proj, out))
+def _projected(op, proj: np.ndarray):
+    p = T.constant(proj)
+    return lambda ts: T.sum_all(T.mul(p, op(*ts)))
 
 
-def _case_add(rng):
-    p = _proj(rng, (3, 4))
-    return (lambda ts: _scalarized(T.add(ts[0], ts[1]), p),
-            [_t(rng, (3, 4)), _t(rng, (3, 4))])
-
-
-def _case_sub(rng):
-    p = _proj(rng, (3, 4))
-    return (lambda ts: _scalarized(T.sub(ts[0], ts[1]), p),
-            [_t(rng, (3, 4)), _t(rng, (3, 4))])
-
-
-def _case_mul(rng):
-    p = _proj(rng, (3, 4))
-    return (lambda ts: _scalarized(T.mul(ts[0], ts[1]), p),
-            [_t(rng, (3, 4)), _t(rng, (3, 4))])
+def _uniform(op, *shapes, lo=-1.0, hi=1.0):
+    """Builder for an op whose inputs are all drawn uniform on [lo, hi]."""
+    return lambda rng: (op, [_t(rng, s, lo, hi) for s in shapes])
 
 
 def _case_scale(rng):
-    p = _proj(rng, (2, 3, 2))
     s = float(rng.uniform(-2.0, 2.0))
-    return (lambda ts: _scalarized(T.scale(ts[0], s), p), [_t(rng, (2, 3, 2))])
-
-
-def _case_matmul(rng):
-    p = _proj(rng, (4, 3))
-    return (lambda ts: _scalarized(T.matmul(ts[0], ts[1]), p),
-            [_t(rng, (4, 5)), _t(rng, (5, 3))])
-
-
-def _case_matvec(rng):
-    p = _proj(rng, (4,))
-    return (lambda ts: _scalarized(T.matvec(ts[0], ts[1]), p),
-            [_t(rng, (4, 6)), _t(rng, (6,))])
-
-
-def _case_dot(rng):
-    return (lambda ts: T.dot(ts[0], ts[1]), [_t(rng, (7,)), _t(rng, (7,))])
-
-
-def _case_transpose(rng):
-    p = _proj(rng, (5, 3))
-    return (lambda ts: _scalarized(T.transpose(ts[0]), p), [_t(rng, (3, 5))])
-
-
-def _case_reshape(rng):
-    p = _proj(rng, (2, 6))
-    return (lambda ts: _scalarized(T.reshape(ts[0], (2, 6)), p), [_t(rng, (3, 4))])
-
-
-def _case_concat(rng):
-    p = _proj(rng, (3, 5))
-    return (lambda ts: _scalarized(T.concat(ts, axis=1), p),
-            [_t(rng, (3, 2)), _t(rng, (3, 3))])
-
-
-def _case_stack_rows(rng):
-    p = _proj(rng, (3, 4))
-    return (lambda ts: _scalarized(T.stack_rows(ts), p),
-            [_t(rng, (4,)), _t(rng, (4,)), _t(rng, (4,))])
-
-
-def _case_sum_all(rng):
-    return (lambda ts: T.sum_all(ts[0]), [_t(rng, (3, 2, 2))])
+    return (lambda x: T.scale(x, s)), [_t(rng, (2, 3, 2))]
 
 
 def _case_relu(rng):
     # Points pushed away from the kink at zero.
-    p = _proj(rng, (4, 4))
     x = rng.uniform(0.1, 1.0, (4, 4)) * rng.choice([-1.0, 1.0], (4, 4))
-    return (lambda ts: _scalarized(T.relu(ts[0]), p), [T.parameter(x)])
-
-
-def _case_sigmoid(rng):
-    p = _proj(rng, (4, 4))
-    return (lambda ts: _scalarized(T.sigmoid(ts[0]), p), [_t(rng, (4, 4), -3.0, 3.0)])
-
-
-def _case_logsumexp(rng):
-    return (lambda ts: T.logsumexp(ts[0]), [_t(rng, (9,), -2.0, 2.0)])
+    return T.relu, [T.parameter(x)]
 
 
 def _case_l2_normalize(rng):
-    p = _proj(rng, (6,))
     v = rng.uniform(-1.0, 1.0, 6)
     v += np.sign(v.sum() or 1.0) * 0.5 / 6   # keep the norm well away from zero
-    return (lambda ts: _scalarized(T.l2_normalize(ts[0]), p), [T.parameter(v)])
-
-
-def _case_softmax_rows(rng):
-    p = _proj(rng, (4, 5))
-    return (lambda ts: _scalarized(ops.softmax_rows(ts[0]), p),
-            [_t(rng, (4, 5), -2.0, 2.0)])
-
-
-def _case_conv2d(rng):
-    p = _proj(rng, (5, 5, 4))
-    return (lambda ts: _scalarized(ops.conv2d(ts[0], ts[1], ts[2], stride=1), p),
-            [_t(rng, (5, 5, 3)), _t(rng, (3, 3, 3, 4)), _t(rng, (4,))])
-
-
-def _case_conv2d_strided(rng):
-    p = _proj(rng, (3, 3, 2))
-    return (lambda ts: _scalarized(ops.conv2d(ts[0], ts[1], ts[2], stride=2), p),
-            [_t(rng, (6, 6, 3)), _t(rng, (3, 3, 3, 2)), _t(rng, (2,))])
-
-
-def _case_depthwise_conv2d(rng):
-    p = _proj(rng, (5, 5, 3))
-    return (lambda ts: _scalarized(ops.depthwise_conv2d(ts[0], ts[1]), p),
-            [_t(rng, (5, 5, 3)), _t(rng, (3, 3, 3))])
-
-
-def _case_mean_hw(rng):
-    p = _proj(rng, (3,))
-    return (lambda ts: _scalarized(ops.mean_hw(ts[0]), p), [_t(rng, (4, 5, 3))])
+    return T.l2_normalize, [T.parameter(v)]
 
 
 def _case_masked_avg_pool(rng):
-    p = _proj(rng, (3,))
     mask = (rng.uniform(0, 1, (4, 4)) < 0.5).astype(np.float64)
     mask.reshape(-1)[int(rng.integers(16))] = 1.0   # never empty
-    return (lambda ts: _scalarized(ops.masked_avg_pool(ts[0], mask), p),
-            [_t(rng, (4, 4, 3))])
-
-
-def _case_bilinear_upsample_x2(rng):
-    p = _proj(rng, (6, 6, 2))
-    return (lambda ts: _scalarized(ops.bilinear_upsample_x2(ts[0]), p),
-            [_t(rng, (3, 3, 2))])
+    return (lambda x: ops.masked_avg_pool(x, mask)), [_t(rng, (4, 4, 3))]
 
 
 def _case_bce_loss(rng):
     target = (rng.uniform(0, 1, (4, 4)) < 0.5).astype(np.float64)
     pred = rng.uniform(0.05, 0.95, (4, 4))
-    return (lambda ts: ops.bce_loss(ts[0], target), [T.parameter(pred)])
-
-
-def _case_lightweight_nonlocal(rng):
-    p = _proj(rng, (4, 4, 4))
-    return (lambda ts: _scalarized(attention.lightweight_nonlocal(ts[0]), p),
-            [_t(rng, (4, 4, 4))])
+    return (lambda p: ops.bce_loss(p, target)), [T.parameter(pred)]
 
 
 def _case_self_attention_block(rng):
-    p = _proj(rng, (4, 4, 4))
-    gen_w = _t(rng, (4, 36), -0.5, 0.5)
-    return (lambda ts: _scalarized(
-                attention.self_attention_block(ts[0], attention.DynamicFilterGenerator(ts[1])), p),
-            [_t(rng, (4, 4, 4)), gen_w])
+    def op(x, gen_w):
+        return attention.self_attention_block(x, attention.DynamicFilterGenerator(gen_w))
+
+    return op, [_t(rng, (4, 4, 4)), _t(rng, (4, 36), -0.5, 0.5)]
 
 
 def _case_coattention(rng):
-    p = _proj(rng, (3, 3, 4))
-    params = [_t(rng, (6, 6, 2)),            # early map v
-              _t(rng, (3, 3, 4)),            # late map x
-              _t(rng, (3, 3, 2, 4), -0.5, 0.5),   # resize kernel
-              _t(rng, (4,), -0.2, 0.2),      # resize bias
-              _t(rng, (4, 4), -0.5, 0.5)]    # affinity
+    def op(v, x, resize_w, resize_b, affinity):
+        return attention.coattention(
+            v, x, attention.CoAttentionParams(resize_w, resize_b, affinity))
 
-    def fn(ts):
-        cp = attention.CoAttentionParams(ts[2], ts[3], ts[4])
-        return _scalarized(attention.coattention(ts[0], ts[1], cp), p)
-
-    return fn, params
+    return op, [_t(rng, (6, 6, 2)),            # early map v
+                _t(rng, (3, 3, 4)),            # late map x
+                _t(rng, (3, 3, 2, 4), -0.5, 0.5),
+                _t(rng, (4,), -0.2, 0.2),
+                _t(rng, (4, 4), -0.5, 0.5)]
 
 
 def _case_gate(rng):
-    p = _proj(rng, (4, 4, 3))
-    params = [_t(rng, (4, 4, 3)),
-              _t(rng, (1, 1, 3, 3), -0.5, 0.5),
-              _t(rng, (3,), -0.2, 0.2)]
+    def op(x, w, b):
+        return attention.gate(x, attention.GateParams(w, b))
 
-    def fn(ts):
-        return _scalarized(attention.gate(ts[0], attention.GateParams(ts[1], ts[2])), p)
-
-    return fn, params
+    return op, [_t(rng, (4, 4, 3)), _t(rng, (1, 1, 3, 3), -0.5, 0.5), _t(rng, (3,), -0.2, 0.2)]
 
 
 def _case_infonce_loss(rng):
     vecs = [T.parameter(rng.uniform(-1.0, 1.0, 6)) for _ in range(8)]
-    feats = []
-    roles = [("a", contrastive.FOREGROUND, 0)] + \
-            [("p", contrastive.FOREGROUND, i + 1) for i in range(3)] + \
-            [("n", contrastive.BACKGROUND, i) for i in range(4)]
-    for (kind, pol, fidx), v in zip(roles, vecs):
-        feats.append(contrastive.RegionFeature("v0", fidx, pol, v, 0.0))
+    polarities = [contrastive.FOREGROUND] * 4 + [contrastive.BACKGROUND] * 4
+    frames = [0, 1, 2, 3, 0, 1, 2, 3]
+    feats = [contrastive.RegionFeature("v0", f, pol, v, 0.0)
+             for f, pol, v in zip(frames, polarities, vecs)]
     batch = contrastive.ContrastiveBatch(feats[0], feats[1:4], feats[4:])
-
-    def fn(ts):
-        return contrastive.infonce_loss(batch, tau=0.5)
-
-    return fn, vecs
+    return (lambda *ts: contrastive.infonce_loss(batch, tau=0.5)), vecs
 
 
 def _composed_model_case(seed: int):
@@ -302,31 +179,32 @@ def _composed_model_case(seed: int):
 
 
 _OP_CASES = [
-    ("add", _case_add),
-    ("sub", _case_sub),
-    ("mul", _case_mul),
+    ("add", _uniform(T.add, (3, 4), (3, 4))),
+    ("sub", _uniform(T.sub, (3, 4), (3, 4))),
+    ("mul", _uniform(T.mul, (3, 4), (3, 4))),
     ("scale", _case_scale),
-    ("matmul", _case_matmul),
-    ("matvec", _case_matvec),
-    ("dot", _case_dot),
-    ("transpose", _case_transpose),
-    ("reshape", _case_reshape),
-    ("concat", _case_concat),
-    ("stack_rows", _case_stack_rows),
-    ("sum_all", _case_sum_all),
+    ("matmul", _uniform(T.matmul, (4, 5), (5, 3))),
+    ("matvec", _uniform(T.matvec, (4, 6), (6,))),
+    ("transpose", _uniform(T.transpose, (3, 5))),
+    ("reshape", _uniform(lambda x: T.reshape(x, (2, 6)), (3, 4))),
+    ("concat", _uniform(lambda *ts: T.concat(ts, axis=1), (3, 2), (3, 3))),
+    ("stack_rows", _uniform(lambda *ts: T.stack_rows(ts), (4,), (4,), (4,))),
+    ("sum_all", _uniform(T.sum_all, (3, 2, 2))),
     ("relu", _case_relu),
-    ("sigmoid", _case_sigmoid),
-    ("logsumexp", _case_logsumexp),
+    ("sigmoid", _uniform(T.sigmoid, (4, 4), lo=-3.0, hi=3.0)),
+    ("logsumexp", _uniform(T.logsumexp, (9,), lo=-2.0, hi=2.0)),
     ("l2_normalize", _case_l2_normalize),
-    ("softmax_rows", _case_softmax_rows),
-    ("conv2d", _case_conv2d),
-    ("conv2d_stride2", _case_conv2d_strided),
-    ("depthwise_conv2d", _case_depthwise_conv2d),
-    ("mean_hw", _case_mean_hw),
+    ("softmax_rows", _uniform(ops.softmax_rows, (4, 5), lo=-2.0, hi=2.0)),
+    ("conv2d", _uniform(lambda x, k, b: ops.conv2d(x, k, b, stride=1),
+                        (5, 5, 3), (3, 3, 3, 4), (4,))),
+    ("conv2d_stride2", _uniform(lambda x, k, b: ops.conv2d(x, k, b, stride=2),
+                                (6, 6, 3), (3, 3, 3, 2), (2,))),
+    ("depthwise_conv2d", _uniform(ops.depthwise_conv2d, (5, 5, 3), (3, 3, 3))),
+    ("mean_hw", _uniform(ops.mean_hw, (4, 5, 3))),
     ("masked_avg_pool", _case_masked_avg_pool),
-    ("bilinear_upsample_x2", _case_bilinear_upsample_x2),
+    ("bilinear_upsample_x2", _uniform(ops.bilinear_upsample_x2, (3, 3, 2))),
     ("bce_loss", _case_bce_loss),
-    ("lightweight_nonlocal", _case_lightweight_nonlocal),
+    ("lightweight_nonlocal", _uniform(attention.lightweight_nonlocal, (4, 4, 4))),
     ("self_attention_block", _case_self_attention_block),
     ("coattention", _case_coattention),
     ("gate", _case_gate),
@@ -343,7 +221,8 @@ def run_suite(seed: int = 7, step: float = DEFAULT_STEP) -> list:
         worst = 0.0
         for point in range(N_POINTS):
             rng = np.random.default_rng([seed, idx, point])
-            fn, inputs = builder(rng)
+            op, inputs = builder(rng)
+            fn = _projected(op, rng.uniform(-1.0, 1.0, op(*inputs).shape))
             worst = max(worst, gradient_check(fn, inputs, step=step))
         rows.append(CheckRow(name, N_POINTS, worst, OP_TOL))
     worst = 0.0

@@ -152,16 +152,15 @@ def default_boundary_tol(h: int, w: int) -> int:
 
 
 def _dilate_chebyshev(m: np.ndarray, tol: int) -> np.ndarray:
-    h, w = m.shape
-    out = np.zeros_like(m)
-    for dy in range(-tol, tol + 1):
-        ys = slice(max(0, dy), min(h, h + dy))
-        yd = slice(max(0, -dy), min(h, h - dy))
-        for dx in range(-tol, tol + 1):
-            xs = slice(max(0, dx), min(w, w + dx))
-            xd = slice(max(0, -dx), min(w, w - dx))
-            out[yd, xd] |= m[ys, xs]
-    return out
+    """OR over the (2 tol + 1)^2 square around each pixel: a row pass, then
+    the same pass over the transpose. Shifts are clipped to the image."""
+    for _ in range(2):
+        out = m.copy()
+        for d in range(1, min(tol, m.shape[0] - 1) + 1):
+            out[d:] |= m[:-d]
+            out[:-d] |= m[d:]
+        m = out.T
+    return m
 
 
 def boundary_f(pred_bin: np.ndarray, gt: np.ndarray, tol: int | None = None) -> float:

@@ -13,7 +13,6 @@ trains with plain SGD in float64.
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass
 
@@ -23,6 +22,7 @@ from . import tensor as T
 from .attention import (CoAttentionParams, DynamicFilterGenerator, GateParams,
                         coattention, gate, self_attention_block)
 from .contrastive import build_contrastive_batches, extract_region_features, infonce_loss
+from .netpbm import atomic_write_bytes
 from .ops import bce_loss, conv2d, bilinear_upsample_x2
 from .rng import SplitMix64
 from .tensor import GradTape, ShapeError, Tensor
@@ -42,7 +42,6 @@ class ModelConfig:
 @dataclass
 class ForwardResult:
     saliency: Tensor   # (H, W) in (0, 1)
-    coarse: Tensor     # (H/8, W/8) in (0, 1)
     feat: Tensor       # (H/8, W/8, c) head feature map
 
 
@@ -144,24 +143,12 @@ class SaliencyModel:
         h1 = T.relu(conv2d(cat, p["head1.weight"], p["head1.bias"], stride=1))
         feat = T.relu(conv2d(h1, p["head2.weight"], p["head2.bias"], stride=1))
         logit = conv2d(feat, p["predict.weight"], p["predict.bias"], stride=1)
-        coarse = T.reshape(T.sigmoid(logit), (hh // 8, ww // 8))
 
         for enc, name in ((e3, "skip4"), (e2, "skip2"), (e1, "skip1")):
             up = bilinear_upsample_x2(logit)
             logit = T.add(up, conv2d(enc, p[f"{name}.weight"], p[f"{name}.bias"], stride=1))
         saliency = T.reshape(T.sigmoid(logit), (hh, ww))
-        return ForwardResult(saliency, coarse, feat)
-
-    def infer_video(self, frames) -> list:
-        """Per-frame saliency maps as plain arrays; no gradient bookkeeping."""
-        frames = list(frames)
-        if not frames:
-            return []
-        shape0 = np.asarray(frames[0]).shape
-        for i, fr in enumerate(frames):
-            if np.asarray(fr).shape != shape0:
-                raise ShapeError(f"frame {i} shape {np.asarray(fr).shape} differs from {shape0}")
-        return [self.forward(fr).saliency.data for fr in frames]
+        return ForwardResult(saliency, feat)
 
 
 def total_loss(saliencies, targets, batches, tau: float):
@@ -244,10 +231,7 @@ def save_checkpoint(path, model: SaliencyModel) -> None:
         blob += struct.pack("<I", t.data.ndim)
         blob += struct.pack(f"<{t.data.ndim}I", *t.data.shape)
         blob += t.data.astype("<f8").tobytes()
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(bytes(blob))
-    os.replace(tmp, path)
+    atomic_write_bytes(path, bytes(blob))
 
 
 def load_checkpoint(path, model: SaliencyModel) -> None:
@@ -276,6 +260,8 @@ def load_checkpoint(path, model: SaliencyModel) -> None:
         shape = struct.unpack(f"<{rank}I", take(4 * rank, "extents"))
         count = int(np.prod(shape, dtype=np.int64)) if rank else 1
         data = np.frombuffer(take(8 * count, f"data of {name}"), dtype="<f8")
+        if name in loaded:
+            raise CheckpointError(f"duplicate tensor {name}")
         loaded[name] = data.astype(np.float64).reshape(shape)
 
     problems = []

@@ -161,10 +161,6 @@ def scale(a: Tensor, s: float) -> Tensor:
     return _trace(a.data * s, (a,), lambda g: (g * s,))
 
 
-def neg(a: Tensor) -> Tensor:
-    return scale(a, -1.0)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of rank-2 tensors, (m,k) @ (k,n) -> (m,n)."""
     if a.rank != 2 or b.rank != 2:
@@ -181,14 +177,6 @@ def matvec(m: Tensor, v: Tensor) -> Tensor:
         raise ShapeError(f"matvec: incompatible shapes {m.shape} @ {v.shape}")
     md, vd = m.data, v.data
     return _trace(md @ vd, (m, v), lambda g: (np.outer(g, vd), md.T @ g))
-
-
-def dot(u: Tensor, v: Tensor) -> Tensor:
-    """Inner product of rank-1 tensors, scalar output."""
-    if u.rank != 1 or v.rank != 1 or u.shape != v.shape:
-        raise ShapeError(f"dot: incompatible shapes {u.shape} . {v.shape}")
-    ud, vd = u.data, v.data
-    return _trace(np.dot(ud, vd), (u, v), lambda g: (g * vd, g * ud))
 
 
 def transpose(a: Tensor) -> Tensor:

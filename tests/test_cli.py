@@ -18,7 +18,7 @@ from salattn.cli import main
 from salattn.config import ConfigError, RunConfig, load_config, parse_config
 from salattn.contrastive import DegenerateBatchWarning
 from salattn.model import ModelConfig, SaliencyModel, load_checkpoint
-from salattn.netpbm import read_pgm, write_pgm
+from salattn.netpbm import read_pgm, write_pgm, write_ppm
 
 # ---------------------------------------------------------------------------
 # config parsing
@@ -234,6 +234,26 @@ def test_infer_errors(mini, capsys):
     assert "no .ppm frames" in capsys.readouterr().err
 
 
+def test_infer_rejects_bad_frame_shapes(mini, capsys):
+    tmp_path, cfg = mini
+    assert main(["train", "--config", cfg]) == 0
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    write_ppm(frames / "00000.ppm", np.zeros((16, 16, 3)))
+    write_ppm(frames / "00001.ppm", np.zeros((24, 16, 3)))
+    assert main(["infer", "--config", cfg, "--frames", str(frames)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR[dataset]")
+    assert "frame 00001.ppm shape (24, 16, 3) differs" in err
+    odd = tmp_path / "odd"
+    odd.mkdir()
+    write_ppm(odd / "00000.ppm", np.zeros((20, 20, 3)))
+    assert main(["infer", "--config", cfg, "--frames", str(odd)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR[dataset]")
+    assert "divisible by 8, got 20x20" in err
+
+
 def test_infer_missing_and_corrupt_checkpoint(mini, capsys):
     tmp_path, cfg = mini
     frames = str(tmp_path / "data" / "video00" / "frames")
@@ -305,16 +325,14 @@ def test_eval_missing_directory(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("ERROR[dataset]")
 
 
-def test_thread_env_validation(tmp_path, capsys, monkeypatch):
+def test_eval_rejects_shape_mismatch(tmp_path, capsys):
     pred, gt = make_eval_dirs(tmp_path)
-    monkeypatch.setenv("SALATTN_THREADS", "lots")
+    write_pgm(gt / "vid" / "00001.pgm", np.zeros((8, 8)))
     assert main(["eval", "--pred", str(pred), "--gt", str(gt)]) == 1
-    assert "SALATTN_THREADS must be an integer" in capsys.readouterr().err
-    monkeypatch.setenv("SALATTN_THREADS", "-2")
-    assert main(["eval", "--pred", str(pred), "--gt", str(gt)]) == 1
-    assert "must be >= 0" in capsys.readouterr().err
-    monkeypatch.setenv("SALATTN_THREADS", "2")
-    assert main(["eval", "--pred", str(pred), "--gt", str(gt)]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR[dataset]")
+    assert "vid/00001" in err
+    assert not (pred / "metrics.tsv").exists()
 
 
 # ---------------------------------------------------------------------------

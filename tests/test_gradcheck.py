@@ -1,11 +1,14 @@
 """The finite-difference harness: accuracy, negative control, error paths."""
 
+import inspect
+
 import numpy as np
 import pytest
 
+from salattn import ops
 from salattn import tensor as T
 from salattn.attention import DynamicFilterGenerator, self_attention_block
-from salattn.gradcheck import (COMPOSED_TOL, OP_TOL, GradientCheckError,
+from salattn.gradcheck import (_OP_CASES, COMPOSED_TOL, OP_TOL, GradientCheckError,
                                format_rows, gradient_check, run_suite)
 
 
@@ -76,12 +79,35 @@ def test_non_scalar_function_rejected():
 
 def test_suite_all_rows_pass():
     rows = run_suite(seed=7)
+    assert [r.name for r in rows] == [
+        "add", "sub", "mul", "scale", "matmul", "matvec", "transpose", "reshape",
+        "concat", "stack_rows", "sum_all", "relu", "sigmoid", "logsumexp",
+        "l2_normalize", "softmax_rows", "conv2d", "conv2d_stride2",
+        "depthwise_conv2d", "mean_hw", "masked_avg_pool", "bilinear_upsample_x2",
+        "bce_loss", "lightweight_nonlocal", "self_attention_block", "coattention",
+        "gate", "infonce_loss", "composed_model"]
     assert rows[-1].name == "composed_model"
     assert rows[-1].tol == COMPOSED_TOL
     for row in rows[:-1]:
         assert row.tol == OP_TOL
     failing = [r.name for r in rows if not r.passed]
     assert failing == []
+
+
+def test_every_taped_primitive_has_a_suite_row():
+    """A public function of tensor or ops that records on the tape (it calls
+    _trace, directly or through scale) must be checked by the suite."""
+    rows = {name for name, _ in _OP_CASES}
+    taped = []
+    for mod in (T, ops):
+        for name, fn in inspect.getmembers(mod, inspect.isfunction):
+            if fn.__module__ != mod.__name__ or name.startswith("_"):
+                continue
+            src = inspect.getsource(fn)
+            if "_trace(" in src or "scale(" in src:
+                taped.append(name)
+    assert len(taped) >= 20
+    assert sorted(set(taped) - rows) == []
 
 
 def test_suite_deterministic():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from salattn.metrics import (EvalReport, boundary_f, boundary_pixels,
+from salattn.metrics import (EvalReport, _dilate_chebyshev, boundary_f, boundary_pixels,
                              default_boundary_tol, evaluate_frames,
                              frame_metrics, jaccard, mae, max_f_measure,
                              s_measure)
@@ -260,6 +260,30 @@ def test_boundary_f_shifted_square_oracle():
     assert boundary_f(np.roll(g, 1, axis=1), g, tol=1) == 1.0
     with pytest.raises(ValueError):
         boundary_f(g, g, tol=0)
+
+
+def test_boundary_f_tolerance_beyond_image():
+    assert boundary_f(np.eye(3), np.eye(3)[::-1].copy(), tol=5) == 1.0
+    assert boundary_f(np.eye(3), np.eye(3)[::-1].copy(), tol=4) == 1.0
+    p = np.zeros((8, 8))
+    p[0, 0] = 1.0
+    g = np.zeros((8, 8))
+    g[7, 7] = 1.0
+    assert boundary_f(p, g, tol=9) == 1.0
+
+
+def test_dilation_matches_bruteforce_chebyshev():
+    rng = np.random.default_rng(349)
+    for _ in range(40):
+        h, w = (int(n) for n in rng.integers(1, 12, size=2))
+        tol = int(rng.integers(1, 14))
+        m = rng.random((h, w)) < 0.15
+        ys, xs = np.nonzero(m)
+        yy, xx = np.mgrid[:h, :w]
+        want = np.zeros((h, w), dtype=bool)
+        for y, x in zip(ys, xs):
+            want |= np.maximum(np.abs(yy - y), np.abs(xx - x)) <= tol
+        assert np.array_equal(_dilate_chebyshev(m, tol), want), (h, w, tol)
 
 
 def test_boundary_f_random_against_bruteforce():

@@ -51,18 +51,16 @@ def test_zero_parameters_give_half_everywhere():
     m = zeroed_model()
     out = m.forward(np.random.default_rng(0).random((16, 16, 3)))
     assert np.all(out.saliency.data == 0.5)
-    assert np.all(out.coarse.data == 0.5)
 
 
 def test_forward_shape_contract():
     m = SaliencyModel(seed=2)
     out = m.forward(np.zeros((64, 64, 3)))
     assert out.saliency.shape == (64, 64)
-    assert out.coarse.shape == (8, 8)
     assert out.feat.shape == (8, 8, 32)
     out = m.forward(np.zeros((32, 48, 3)))
     assert out.saliency.shape == (32, 48)
-    assert out.coarse.shape == (4, 6)
+    assert out.feat.shape == (4, 6, 32)
 
 
 def test_forward_rejects_bad_frames():
@@ -218,30 +216,6 @@ def test_train_step_empty_minibatch_rejected():
 
 
 # ---------------------------------------------------------------------------
-# inference
-
-
-def test_infer_video_is_per_frame_and_order_preserving():
-    m = SaliencyModel(seed=8)
-    rng = np.random.default_rng(283)
-    frames = [rng.random((16, 16, 3)) for _ in range(4)]
-    outs = m.infer_video(frames)
-    perm = [2, 0, 3, 1]
-    outs_perm = m.infer_video([frames[i] for i in perm])
-    for j, i in enumerate(perm):
-        assert np.array_equal(outs_perm[j], outs[i])
-    single = m.infer_video(frames[:1])
-    assert len(single) == 1
-    assert np.array_equal(single[0], m.forward(frames[0]).saliency.data)
-
-
-def test_infer_video_rejects_mixed_shapes():
-    m = SaliencyModel(seed=8)
-    with pytest.raises(ShapeError):
-        m.infer_video([np.zeros((16, 16, 3)), np.zeros((24, 16, 3))])
-
-
-# ---------------------------------------------------------------------------
 # checkpoints
 
 
@@ -290,6 +264,19 @@ def test_checkpoint_manifest_diff_lists_all_problems(tmp_path):
     assert "unexpected tensor alien.weight" in msg
     for k in m.params:
         assert f"missing tensor {k}" in msg
+
+
+def test_checkpoint_duplicate_tensor_rejected(tmp_path):
+    m = SaliencyModel(seed=1)
+    path = tmp_path / "dup.ckpt"
+    save_checkpoint(path, m)
+    w = m.params["enc1.weight"].data
+    name = b"enc1.weight"
+    extra = (struct.pack("<I", len(name)) + name + struct.pack("<I", w.ndim)
+             + struct.pack(f"<{w.ndim}I", *w.shape) + np.full(w.shape, 7.0).astype("<f8").tobytes())
+    path.write_bytes(path.read_bytes() + extra)
+    with pytest.raises(CheckpointError, match="duplicate tensor enc1.weight"):
+        load_checkpoint(path, m)
 
 
 def test_checkpoint_shape_mismatch_named(tmp_path):

@@ -271,7 +271,7 @@ def test_masked_pool_gradient():
     m[0, 0] = m[2, 2] = 1.0
     c = rng.standard_normal(2)
     with GradTape() as tape:
-        loss = T.dot(masked_avg_pool(x, m), T.constant(c))
+        loss = T.sum_all(T.mul(masked_avg_pool(x, m), T.constant(c)))
     (dx,) = tape.gradient(loss, [x])
     ref = m[:, :, None] * (c / 2.0)
     assert np.max(np.abs(dx - ref)) <= 1e-15

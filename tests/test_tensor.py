@@ -61,7 +61,6 @@ def test_elementwise_forward():
     assert np.array_equal(T.sub(T.constant(a), T.constant(b)).data, a - b)
     assert np.array_equal(T.mul(T.constant(a), T.constant(b)).data, a * b)
     assert np.array_equal(T.scale(T.constant(a), -2.5).data, a * -2.5)
-    assert np.array_equal(T.neg(T.constant(a)).data, -a)
     with pytest.raises(ShapeError):
         T.add(T.constant(a), T.constant(b[:2]))
 
@@ -74,7 +73,7 @@ def test_matvec_and_dot_oracles():
     ref = np.array([sum(m[i, j] * v[j] for j in range(6)) for i in range(4)])
     assert np.max(np.abs(got - ref)) <= 1e-12
     u = rng.standard_normal(6)
-    assert abs(T.dot(T.constant(u), T.constant(v)).item() - sum(u * v)) <= 1e-12
+    assert abs(T.sum_all(T.mul(T.constant(u), T.constant(v))).item() - sum(u * v)) <= 1e-12
 
 
 def test_transpose_reshape_roundtrip():
@@ -153,7 +152,7 @@ def test_l2_normalize_gradient_orthogonal_to_output():
         c = rng.standard_normal(6)
         with GradTape() as tape:
             y = T.l2_normalize(v)
-            loss = T.dot(y, T.constant(c))
+            loss = T.sum_all(T.mul(y, T.constant(c)))
         (g,) = tape.gradient(loss, [v])
         yd = v.data / np.linalg.norm(v.data)
         assert abs(np.dot(g, yd)) <= 1e-12
