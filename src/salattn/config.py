@@ -20,7 +20,7 @@ class RunConfig:
     steps: int = 2000
     lr: float = 1e-4
     tau: float = 0.1
-    k_pos: int = 4
+    k_pos: int = 3
     k_neg: int = 4
     batch_videos: int = 2
     batch_frames: int = 4

@@ -199,6 +199,10 @@ _OP_CASES = [
                         (5, 5, 3), (3, 3, 3, 4), (4,))),
     ("conv2d_stride2", _uniform(lambda x, k, b: ops.conv2d(x, k, b, stride=2),
                                 (6, 6, 3), (3, 3, 3, 2), (2,))),
+    ("conv2d_1x1", _uniform(lambda x, k, b: ops.conv2d(x, k, b, stride=1),
+                            (5, 4, 3), (1, 1, 3, 2), (2,))),
+    ("conv2d_stride4", _uniform(lambda x, k, b: ops.conv2d(x, k, b, stride=4),
+                                (9, 7, 2), (3, 3, 2, 3), (3,))),
     ("depthwise_conv2d", _uniform(ops.depthwise_conv2d, (5, 5, 3), (3, 3, 3))),
     ("mean_hw", _uniform(ops.mean_hw, (4, 5, 3))),
     ("masked_avg_pool", _case_masked_avg_pool),

@@ -49,9 +49,10 @@ def max_f_measure(pred: np.ndarray, gt: np.ndarray, beta2: float = 0.3) -> float
     if n_fg == 0:
         raise ValueError("max_f_measure: ground truth has no foreground")
     thresholds = np.arange(256, dtype=np.float64) / 255.0
-    hits = pred[:, :, None] >= thresholds              # (h, w, 256)
-    predicted = hits.sum(axis=(0, 1)).astype(np.float64)
-    tp = (hits & g[:, :, None]).sum(axis=(0, 1)).astype(np.float64)
+    idx = np.searchsorted(thresholds, pred, side="right")   # thresholds <= pred
+    idx[np.isnan(pred)] = 0   # NaN sorts last but is predicted at no threshold
+    predicted = idx.size - np.cumsum(np.bincount(idx.ravel(), minlength=257))[:256]
+    tp = n_fg - np.cumsum(np.bincount(idx[g], minlength=257))[:256]
     precision = np.divide(tp, predicted, out=np.zeros(256), where=predicted > 0)
     recall = tp / n_fg
     denom = beta2 * precision + recall

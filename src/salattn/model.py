@@ -49,7 +49,7 @@ class ForwardResult:
 class TrainSettings:
     lr: float = 1e-4
     tau: float = 0.1
-    k_pos: int = 4
+    k_pos: int = 3
     k_neg: int = 4
     use_contrastive: bool = True
 

@@ -84,7 +84,6 @@ class _Scanner:
         return b[start:self.off]
 
     def int_token(self, what: str) -> int:
-        start_guess = self.off
         tok = self.token(what)
         if not tok.isdigit():
             self.fail(f"expected integer {what}, found {tok[:16]!r}",

@@ -2,7 +2,7 @@
 
 Convolutions use odd kernels with symmetric zero padding of (k-1)//2 per
 side, so spatial extent maps as ceil(h/stride) for the strides used here.
-Forward passes are im2col plus one matmul; backward scatters columns back.
+Forward passes are strided-view im2col plus one matmul; a constant input gets no dx.
 """
 
 from __future__ import annotations
@@ -46,13 +46,12 @@ def _conv_geometry(h: int, w: int, kh: int, kw: int, stride: int):
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
-    """(hp, wp, c) padded input -> (oh*ow, kh*kw*c) patch matrix."""
-    c = xp.shape[2]
-    cols = np.empty((oh, ow, kh, kw, c), dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j, :] = xp[i:i + oh * stride:stride, j:j + ow * stride:stride, :]
-    return cols.reshape(oh * ow, kh * kw * c)
+    """(hp, wp, c) padded input -> (oh*ow, kh*kw*c) patch matrix: a read-only
+    strided window view, copied once by the reshape (1x1 stride 1: no copy)."""
+    s0, s1, s2 = xp.strides
+    return np.lib.stride_tricks.as_strided(
+        xp, (oh, ow, kh, kw, xp.shape[2]), (s0 * stride, s1 * stride, s0, s1, s2),
+        writeable=False).reshape(oh * ow, -1)
 
 
 def _col2im(dcols: np.ndarray, hp: int, wp: int, c: int, kh: int, kw: int,
@@ -82,7 +81,10 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, stride: int = 
         raise ShapeError(f"conv2d: bias shape {bias.shape} does not match {cout} output channels")
     ph, pw, oh, ow = _conv_geometry(h, w, kh, kw, stride)
 
-    xp = np.pad(x.data, ((ph, ph), (pw, pw), (0, 0)))
+    xp = x.data
+    if ph or pw:
+        xp = np.zeros((h + 2 * ph, w + 2 * pw, cin), dtype=np.float64)
+        xp[ph:ph + h, pw:pw + w, :] = x.data
     hp, wp = xp.shape[0], xp.shape[1]
     cols = _im2col(xp, kh, kw, stride, oh, ow)
     wmat = kernel.data.reshape(kh * kw * cin, cout)
@@ -92,13 +94,14 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, stride: int = 
     out = out_flat.reshape(oh, ow, cout)
 
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
+    x_needs_grad = x.requires_grad
 
     def backward(g):
         gf = g.reshape(oh * ow, cout)
         dw = (cols.T @ gf).reshape(kh, kw, cin, cout)
-        dcols = gf @ wmat.T
-        dxp = _col2im(dcols, hp, wp, cin, kh, kw, stride, oh, ow)
-        dx = dxp[ph:hp - ph, pw:wp - pw, :] if (ph or pw) else dxp
+        dx = None   # a constant input, such as the frame, gets no gradient
+        if x_needs_grad:
+            dx = _col2im(gf @ wmat.T, hp, wp, cin, kh, kw, stride, oh, ow)[ph:hp - ph, pw:wp - pw]
         if bias is None:
             return (dx, dw)
         return (dx, dw, gf.sum(axis=0))
@@ -177,16 +180,16 @@ def masked_avg_pool(x: Tensor, mask: np.ndarray) -> Tensor:
     return _trace(out, (x,), backward)
 
 
-def _up2_axis_indices(n: int):
-    """Half-pixel-center source indices and weights for 2x upsampling."""
-    src = (np.arange(2 * n, dtype=np.float64) + 0.5) / 2.0 - 0.5
-    src = np.clip(src, 0.0, n - 1.0)
-    i0 = np.floor(src).astype(np.int64)
-    i0 = np.minimum(i0, max(n - 2, 0))
-    t = src - i0
-    if n == 1:
-        t = np.zeros_like(t)
-    return i0, i0 + (1 if n > 1 else 0), 1.0 - t, t
+def _up2_matrix(n: int) -> np.ndarray:
+    """(2n, n) half-pixel-center 2x linear interpolation weights along one
+    axis; edge samples clamp to the border, so every row sums to 1."""
+    src = np.clip((np.arange(2 * n) + 0.5) / 2.0 - 0.5, 0.0, n - 1.0)
+    i0 = np.minimum(np.floor(src).astype(np.int64), max(n - 2, 0))
+    rows, t = np.arange(2 * n), src - i0
+    m = np.zeros((2 * n, n))
+    m[rows, i0] = 1.0 - t
+    m[rows, np.minimum(i0 + 1, n - 1)] += t
+    return m
 
 
 def bilinear_upsample_x2(x: Tensor) -> Tensor:
@@ -197,21 +200,14 @@ def bilinear_upsample_x2(x: Tensor) -> Tensor:
     if x.rank != 3:
         raise ShapeError(f"bilinear_upsample_x2 needs rank 3, got {x.shape}")
     h, w, c = x.shape
-    i0, i1, wy0, wy1 = _up2_axis_indices(h)
-    j0, j1, wx0, wx1 = _up2_axis_indices(w)
-    d = x.data
-    # Rows first, then columns (bilinear is separable).
-    rows = wy0[:, None, None] * d[i0] + wy1[:, None, None] * d[i1]       # (2h, w, c)
-    out = wx0[None, :, None] * rows[:, j0] + wx1[None, :, None] * rows[:, j1]
+    mh, mw = _up2_matrix(h), _up2_matrix(w)
+    # Bilinear is separable: rows first, then columns, each one matmul.
+    rows = (mh @ x.data.reshape(h, w * c)).reshape(2 * h, w, c)
+    out = mw @ rows
 
     def backward(g):
-        drows = np.zeros((2 * h, w, c), dtype=np.float64)
-        np.add.at(drows, (slice(None), j0), wx0[None, :, None] * g)
-        np.add.at(drows, (slice(None), j1), wx1[None, :, None] * g)
-        dx = np.zeros((h, w, c), dtype=np.float64)
-        np.add.at(dx, i0, wy0[:, None, None] * drows)
-        np.add.at(dx, i1, wy1[:, None, None] * drows)
-        return (dx,)
+        drows = (mw.T @ g).reshape(2 * h, w * c)
+        return ((mh.T @ drows).reshape(h, w, c),)
 
     return _trace(out, (x,), backward)
 

@@ -1,14 +1,17 @@
 """Command line behavior: config parsing, subcommands, and error reporting.
 
 Everything runs in-process through main(argv) so stdout/stderr and exit
-codes are observable with capsys; one final smoke test goes through a real
-interpreter subprocess. Small datasets (16x16, a few frames) keep the
-training-path tests fast.
+codes are observable with capsys; two final smoke tests go through a real
+interpreter subprocess, one of them under perfbench's tracer. Small
+datasets (16x16 or 32x32, a few frames) keep the training-path tests fast.
 """
 
 import hashlib
+import json
+import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +32,7 @@ def test_config_defaults_without_file():
     assert cfg.steps == 2000
     assert cfg.lr == 1e-4
     assert cfg.tau == 0.1
-    assert cfg.k_pos == 4 and cfg.k_neg == 4
+    assert cfg.k_pos == 3 and cfg.k_neg == 4
     assert cfg.batch_videos == 2 and cfg.batch_frames == 4
     assert cfg.height == 64 and cfg.width == 64
     assert cfg.holdout == 2
@@ -181,6 +184,20 @@ def test_train_few_steps_logs_finite_losses(mini):
         assert np.isfinite(float(total)) and np.isfinite(float(bce))
         # first loss with zeroed logit heads: bce is exactly ln 2
     assert abs(float(rows[1].split(",")[2]) - np.log(2.0)) < 1e-6
+
+
+def test_default_config_step_mines_full_pools(tmp_path):
+    """With the default k_pos, k_neg and minibatch (2 videos x 4 frames), an
+    anchor has exactly k_pos positives, so training never warns."""
+    cfg = write_cfg(tmp_path / "run.cfg", frames_per_video=4, height=32, width=32,
+                    batch_frames=4, steps=1, dataset_root=tmp_path / "data",
+                    checkpoint_path=tmp_path / "model.ckpt", output_dir=tmp_path / "out")
+    assert main(["synth", "--config", cfg]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DegenerateBatchWarning)
+        assert main(["train", "--config", cfg]) == 0
+    step1 = (tmp_path / "out" / "loss_log.csv").read_text().splitlines()[1].split(",")
+    assert float(step1[3]) > 0.0   # anchors were mined
 
 
 def test_train_validates_batch_against_dataset(mini, capsys):
@@ -373,3 +390,26 @@ def test_cli_runs_in_subprocess():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "multiply ratio naive/reordered" in proc.stdout
+
+
+def test_perfbench_tracer_runs_train(tmp_path):
+    """perfbench's tracer wraps the tape from outside the program: a 2-step
+    train under it exits 0, builds no gradient it then throws away, and
+    times the backward of every conv and upsample kind."""
+    root = Path(__file__).resolve().parent.parent
+    cfg = write_cfg(tmp_path / "run.cfg", n_videos=3, frames_per_video=4, height=32, width=32,
+                    holdout=1, batch_videos=2, batch_frames=4, steps=2,
+                    dataset_root=tmp_path / "data", checkpoint_path=tmp_path / "model.ckpt",
+                    output_dir=tmp_path / "out")
+    assert main(["synth", "--config", cfg]) == 0
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "trace_main.py"), str(tmp_path / "trace.json"),
+         "train", "--config", cfg],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads((tmp_path / "trace.json").read_text())
+    assert summary["counts"]["tensor.grads_computed"] > 0
+    assert summary["counts"]["tensor.grads_discarded"] == 0
+    for kind in ("ops.conv3x3_bwd", "ops.conv1x1_bwd", "ops.upsample_bwd"):
+        assert kind in summary["bwd_ms"]

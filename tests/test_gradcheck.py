@@ -82,10 +82,10 @@ def test_suite_all_rows_pass():
     assert [r.name for r in rows] == [
         "add", "sub", "mul", "scale", "matmul", "matvec", "transpose", "reshape",
         "concat", "stack_rows", "sum_all", "relu", "sigmoid", "logsumexp",
-        "l2_normalize", "softmax_rows", "conv2d", "conv2d_stride2",
-        "depthwise_conv2d", "mean_hw", "masked_avg_pool", "bilinear_upsample_x2",
-        "bce_loss", "lightweight_nonlocal", "self_attention_block", "coattention",
-        "gate", "infonce_loss", "composed_model"]
+        "l2_normalize", "softmax_rows", "conv2d", "conv2d_stride2", "conv2d_1x1",
+        "conv2d_stride4", "depthwise_conv2d", "mean_hw", "masked_avg_pool",
+        "bilinear_upsample_x2", "bce_loss", "lightweight_nonlocal", "self_attention_block",
+        "coattention", "gate", "infonce_loss", "composed_model"]
     assert rows[-1].name == "composed_model"
     assert rows[-1].tol == COMPOSED_TOL
     for row in rows[:-1]:

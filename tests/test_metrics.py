@@ -87,6 +87,37 @@ def test_maxf_matches_bruteforce():
         assert abs(max_f_measure(pred, gt) - best) <= 1e-12
 
 
+def maxf_cube(pred, gt, beta2=0.3):
+    """The (h, w, 256) threshold cube: every pixel against every threshold."""
+    g = gt > 0.5
+    hits = pred[:, :, None] >= np.arange(256) / 255.0
+    predicted = hits.sum(axis=(0, 1)).astype(np.float64)
+    tp = (hits & g[:, :, None]).sum(axis=(0, 1)).astype(np.float64)
+    precision = np.divide(tp, predicted, out=np.zeros(256), where=predicted > 0)
+    recall = tp / g.sum()
+    denom = beta2 * precision + recall
+    f = np.divide((1.0 + beta2) * precision * recall, denom, out=np.zeros(256), where=denom > 0)
+    return float(f.max())
+
+
+def test_maxf_matches_threshold_cube_exactly():
+    """Quantised maps (ties at k/255), unquantised maps, +-inf and NaN
+    (predicted at no threshold) give the cube's value bit for bit."""
+    rng = np.random.default_rng(313)
+    for trial in range(40):
+        h, w = rng.integers(1, 24, size=2)
+        gt = (rng.random((h, w)) < 0.4).astype(np.float64)
+        gt.reshape(-1)[rng.integers(h * w)] = 1.0
+        if trial % 2:
+            pred = rng.integers(0, 256, size=(h, w)) / 255.0
+        else:
+            pred = rng.uniform(-0.1, 1.1, (h, w))
+        if trial % 4 >= 2:
+            specials = rng.choice([np.inf, -np.inf, np.nan], size=(h, w))
+            pred = np.where(rng.random((h, w)) < 0.2, specials, pred)
+        assert max_f_measure(pred, gt) == maxf_cube(pred, gt)
+
+
 def test_maxf_empty_ground_truth_rejected():
     with pytest.raises(ValueError):
         max_f_measure(np.ones((4, 4)), np.zeros((4, 4)))

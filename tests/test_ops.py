@@ -112,18 +112,43 @@ def test_conv_box_filter_on_constant():
 
 
 def test_conv_random_against_sliding_window():
+    """Kernels 1 and 3 at strides 1, 2 and 4 (co-attention's resize), with
+    bias, on even and odd extents."""
     rng = np.random.default_rng(63)
-    for stride in (1, 2):
-        for _ in range(3):
-            x = rng.standard_normal((6, 8, 3))
-            k = rng.standard_normal((3, 3, 3, 4))
-            b = rng.standard_normal(4)
-            out = conv2d(T.constant(x), T.constant(k), T.constant(b), stride=stride).data
-            ref = conv_reference(x, k, b, stride)
-            assert out.shape == ref.shape
-            assert np.max(np.abs(out - ref)) <= 1e-12
+    for k_side in (1, 3):
+        for stride in (1, 2, 4):
+            for h, w in ((6, 8), (7, 5), (9, 9)):
+                x = rng.standard_normal((h, w, 3))
+                k = rng.standard_normal((k_side, k_side, 3, 4))
+                b = rng.standard_normal(4)
+                out = conv2d(T.constant(x), T.constant(k), T.constant(b), stride=stride).data
+                ref = conv_reference(x, k, b, stride)
+                assert out.shape == ref.shape == (-(-h // stride), -(-w // stride), 4)
+                assert np.max(np.abs(out - ref)) <= 1e-12
     assert conv2d(T.constant(rng.standard_normal((5, 7, 2))),
                   T.constant(rng.standard_normal((3, 3, 2, 2))), stride=2).shape == (3, 4, 2)
+
+
+def test_conv_constant_input_gets_no_gradient():
+    """The recorded backward of a conv on a constant input returns None for
+    the input, and the same kernel and bias gradients, bit for bit, as when
+    the input requires a gradient."""
+    rng = np.random.default_rng(64)
+    x = rng.standard_normal((7, 6, 3))
+    k = T.parameter(rng.standard_normal((3, 3, 3, 4)))
+    b = T.parameter(rng.standard_normal(4))
+    g = rng.standard_normal((4, 3, 4))
+    grads = []
+    for x_t in (T.constant(x), T.parameter(x)):
+        with GradTape() as tape:
+            conv2d(x_t, k, b, stride=2)
+        (_, inputs, backward), = tape._records
+        assert inputs[0] is x_t
+        grads.append(backward(g))
+    (dx_const, dk_const, db_const), (dx, dk, db) = grads
+    assert dx_const is None
+    assert dx.shape == x.shape
+    assert np.array_equal(dk_const, dk) and np.array_equal(db_const, db)
 
 
 def test_conv_rejects_bad_arguments():
@@ -322,9 +347,11 @@ def test_upsample_2x2_ramp_closed_form():
 
 def test_upsample_random_oracle():
     rng = np.random.default_rng(91)
-    x = rng.standard_normal((3, 5, 2))
-    out = bilinear_upsample_x2(T.constant(x)).data
-    assert np.max(np.abs(out - upsample_reference(x))) <= 1e-13
+    for h in range(1, 10):
+        for w in range(1, 10):
+            x = rng.standard_normal((h, w, 2))
+            out = bilinear_upsample_x2(T.constant(x)).data
+            assert np.max(np.abs(out - upsample_reference(x))) <= 1e-13
 
 
 def test_upsample_adjoint_identity():
