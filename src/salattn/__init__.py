@@ -4,28 +4,8 @@ A minimal reverse-mode tensor library, lightweight non-local attention with
 dynamic depthwise filtering, cross-level co-attention, region-contrastive
 learning with hard mining, a toy encoder/decoder saliency model with plain
 SGD training, a saliency metric suite, and a synthetic moving-shape video
-generator with netpbm I/O.
+generator with netpbm I/O. Names live in the submodules; the package imports
+none of them, so ``salattn.cli`` can pin BLAS threads before numpy loads.
 """
-
-from .attention import (CoAttentionParams, DynamicFilterGenerator, GateParams,
-                        coattention, count_flops, gate, lightweight_nonlocal,
-                        naive_nonlocal_reference, self_attention_block)
-from .config import ConfigError, RunConfig, load_config, parse_config
-from .contrastive import (BACKGROUND, FOREGROUND, ContrastiveBatch, RegionFeature,
-                          build_contrastive_batches, extract_region_features,
-                          infonce_loss, mine_hard_samples, region_mae)
-from .gradcheck import gradient_check, run_suite
-from .metrics import (EvalReport, FrameMetrics, boundary_f, evaluate_frames,
-                      frame_metrics, jaccard, mae, max_f_measure, s_measure)
-from .model import (CheckpointError, ForwardResult, LossRecord, ModelConfig,
-                    SaliencyModel, TrainSettings, load_checkpoint,
-                    save_checkpoint, total_loss, train_step)
-from .netpbm import NetpbmError, read_pgm, read_ppm, write_pgm, write_ppm
-from .ops import (EmptyRegionError, bce_loss, bilinear_upsample_x2, conv2d,
-                  depthwise_conv2d, masked_avg_pool, mean_hw, softmax_rows)
-from .rng import SplitMix64, mix64
-from .synth import (DatasetError, SynthConfig, VideoSequence, generate_video,
-                    load_dataset, save_video)
-from .tensor import GradTape, ShapeError, Tensor, constant, parameter
 
 __version__ = "0.1.0"

@@ -12,9 +12,18 @@ with category one of usage, config, dataset, io, checkpoint, numeric.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
+
+# One BLAS thread per process unless the caller chose a count. OpenBLAS reads
+# these when numpy loads it, so this must run before the first numpy import.
+# Results are bitwise the same at any thread count, and on this model's small
+# matmuls a second thread doubles the CPU time for little wall time.
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if not any(v in os.environ for v in _BLAS_VARS):
+    os.environ.update(dict.fromkeys(_BLAS_VARS, "1"))
 
 import numpy as np
 

@@ -13,6 +13,7 @@ trains with plain SGD in float64.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -253,15 +254,23 @@ def load_checkpoint(path, model: SaliencyModel) -> None:
 
     while off < len(blob):
         (name_len,) = struct.unpack("<I", take(4, "name length"))
-        name = take(name_len, "name").decode("utf-8")
+        raw = take(name_len, "name")
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"tensor name {raw[:32]!r} at byte {off - name_len} "
+                                  "is not UTF-8") from None
         (rank,) = struct.unpack("<I", take(4, "rank"))
         if rank > 4:
             raise CheckpointError(f"tensor {name}: rank {rank} exceeds 4")
         shape = struct.unpack(f"<{rank}I", take(4 * rank, "extents"))
-        count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        data = np.frombuffer(take(8 * count, f"data of {name}"), dtype="<f8")
+        # Python ints: a product of uint32 extents can overflow int64, and
+        # take() rejects any count larger than the bytes left.
+        data = np.frombuffer(take(8 * math.prod(shape), f"data of {name}"), dtype="<f8")
         if name in loaded:
             raise CheckpointError(f"duplicate tensor {name}")
+        if not np.isfinite(data).all():
+            raise CheckpointError(f"tensor {name} holds a non-finite value")
         loaded[name] = data.astype(np.float64).reshape(shape)
 
     problems = []

@@ -7,6 +7,8 @@ Forward passes are strided-view im2col plus one matmul; a constant input gets no
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .tensor import ShapeError, Tensor, _trace
@@ -23,8 +25,9 @@ def softmax_rows(m: Tensor) -> Tensor:
     if m.rank != 2:
         raise ShapeError(f"softmax_rows needs rank 2, got {m.shape}")
     d = m.data
-    e = np.exp(d - d.max(axis=1, keepdims=True))
-    s = e / e.sum(axis=1, keepdims=True)
+    s = d - d.max(axis=1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=1, keepdims=True)
 
     def backward(g):
         # ds_ij = s_ij * (g_ij - sum_k g_ik s_ik)
@@ -180,15 +183,17 @@ def masked_avg_pool(x: Tensor, mask: np.ndarray) -> Tensor:
     return _trace(out, (x,), backward)
 
 
+@functools.cache
 def _up2_matrix(n: int) -> np.ndarray:
-    """(2n, n) half-pixel-center 2x linear interpolation weights along one
-    axis; edge samples clamp to the border, so every row sums to 1."""
+    """Cached, read-only (2n, n) half-pixel-center 2x linear interpolation
+    weights along one axis; edge samples clamp to the border, so every row sums to 1."""
     src = np.clip((np.arange(2 * n) + 0.5) / 2.0 - 0.5, 0.0, n - 1.0)
     i0 = np.minimum(np.floor(src).astype(np.int64), max(n - 2, 0))
     rows, t = np.arange(2 * n), src - i0
     m = np.zeros((2 * n, n))
     m[rows, i0] = 1.0 - t
     m[rows, np.minimum(i0 + 1, n - 1)] += t
+    m.flags.writeable = False
     return m
 
 

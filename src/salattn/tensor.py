@@ -236,8 +236,8 @@ def relu(a: Tensor) -> Tensor:
 def sigmoid(a: Tensor) -> Tensor:
     # Split by sign so exp never overflows.
     d = a.data
-    out = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
-                   np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    e = np.exp(-np.abs(d))
+    out = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return _trace(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 

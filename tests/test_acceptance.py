@@ -4,10 +4,14 @@ The expensive part, the full toy pipeline (synth 10 videos -> train 2000
 steps -> infer + eval on the 2 held-out videos), runs once in a
 module-scoped fixture together with its ablated twin (attention and
 contrastive paths disabled) and the bitwise determinism replicas; the
+two arms train concurrently as two `salattn train` processes. The
 individual tests then assert one bar each so a failure reads cleanly.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -49,14 +53,26 @@ def overall_row(metrics_txt):
     raise AssertionError(f"no overall row in {metrics_txt}")
 
 
-def run_arm(base, data_root, tag, use_attention, use_contrastive):
-    """Train with the default protocol, then infer + eval the held-out videos."""
+def start_train(base, data_root, tag, use_attention, use_contrastive):
+    """Launch an arm's default-protocol `train` as its own process, so both
+    arms train at once, each on the one BLAS thread the CLI pins."""
     arm = base / tag
     cfg = write_cfg(arm / "run.cfg", seed=1, dataset_root=data_root,
                     checkpoint_path=arm / "model.ckpt", output_dir=arm / "out",
                     use_attention=use_attention, use_contrastive=use_contrastive)
-    t0 = time.perf_counter()
-    assert main(["train", "--config", cfg]) == 0
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    with open(arm / "train.log", "wb") as log:
+        proc = subprocess.Popen([sys.executable, "-m", "salattn.cli", "train", "--config", cfg],
+                                stdout=log, stderr=subprocess.STDOUT,
+                                env=dict(os.environ, PYTHONPATH=src))
+    return proc, time.perf_counter()
+
+
+def finish_arm(base, data_root, tag, use_attention, use_contrastive, train):
+    """Wait for the arm's train process, then infer + eval the held-out videos."""
+    arm = base / tag
+    proc, t0 = train
+    assert proc.wait() == 0, (arm / "train.log").read_text()[-2000:]
     t_train = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -95,8 +111,15 @@ def pipeline(tmp_path_factory):
     cfg_b = write_cfg(base / "synth_b.cfg", seed=1, dataset_root=base / "data_b")
     assert main(["synth", "--config", cfg_b]) == 0
 
-    full = run_arm(base, data_root, "full", use_attention=1, use_contrastive=1)
-    ablated = run_arm(base, data_root, "ablated", use_attention=0, use_contrastive=0)
+    arms = {"full": (1, 1), "ablated": (0, 0)}
+    trains = {tag: start_train(base, data_root, tag, *flags) for tag, flags in arms.items()}
+    try:
+        # The full arm is reaped first, so its t_train is its own wall time.
+        full, ablated = (finish_arm(base, data_root, tag, *flags, trains[tag])
+                         for tag, flags in arms.items())
+    finally:
+        for proc, _ in trains.values():
+            proc.kill()      # only an arm left running after a failure
 
     # short identical-config training runs, repeated, for bitwise comparison
     det_cfg = write_cfg(base / "det.cfg", seed=1, dataset_root=data_root,

@@ -1,14 +1,16 @@
 """Command line behavior: config parsing, subcommands, and error reporting.
 
 Everything runs in-process through main(argv) so stdout/stderr and exit
-codes are observable with capsys; two final smoke tests go through a real
-interpreter subprocess, one of them under perfbench's tracer. Small
+codes are observable with capsys; the final tests go through a real
+interpreter subprocess: a smoke test, the BLAS thread pin and its bitwise
+promise, and a run under perfbench's tracer. Small
 datasets (16x16 or 32x32, a few frames) keep the training-path tests fast.
 """
 
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -284,6 +286,40 @@ def test_infer_missing_and_corrupt_checkpoint(mini, capsys):
     assert capsys.readouterr().err.startswith("ERROR[checkpoint]")
 
 
+def _corrupt_first_tensor(blob, defect):
+    """A copy of a checkpoint whose first tensor carries one defect."""
+    (n,) = struct.unpack_from("<I", blob, 8)
+    name_at, rank_at = 12, 12 + n
+    (rank,) = struct.unpack_from("<I", blob, rank_at)
+    data_at = rank_at + 4 + 4 * rank
+    b = bytearray(blob)
+    if defect == "name":
+        b[name_at] = 0xFF                       # never valid in UTF-8
+    elif defect == "extents":
+        b[rank_at:data_at] = struct.pack("<3I", 2, 0xFFFFFFFF, 0xFFFFFFFF)
+    else:
+        b[data_at:data_at + 8] = struct.pack("<d", float("nan"))
+    return bytes(b)
+
+
+@pytest.mark.parametrize("defect, message", [
+    ("name", "is not UTF-8"),
+    ("extents", "truncated checkpoint: data of"),
+    ("nan", "holds a non-finite value"),
+], ids=["name", "extents", "nan"])
+def test_infer_rejects_malformed_checkpoint(mini, capsys, defect, message):
+    tmp_path, cfg = mini
+    assert main(["train", "--config", cfg]) == 0
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(_corrupt_first_tensor((tmp_path / "model.ckpt").read_bytes(), defect))
+    assert main(["infer", "--config", cfg, "--checkpoint", str(bad),
+                 "--frames", str(tmp_path / "data" / "video00" / "frames")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR[checkpoint]") and message in err
+    assert len(err.splitlines()) == 1
+    assert not list((tmp_path / "out").glob("*.pgm"))
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -392,20 +428,79 @@ def test_cli_runs_in_subprocess():
     assert "multiply ratio naive/reordered" in proc.stdout
 
 
+ROOT = Path(__file__).resolve().parent.parent
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_python(args, **env):
+    """A fresh interpreter on src/ with no BLAS thread variable but those in env."""
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=300,
+                          env=dict(base, PYTHONPATH=str(ROOT / "src"), **env))
+
+
+# The same ctypes getter perfbench's environment probe uses.
+BLAS_THREADS_PROBE = """
+import ctypes, sys
+import salattn
+print("numpy" in sys.modules)
+import salattn.cli
+threads = None
+for path in sorted({l.split()[-1] for l in open("/proc/self/maps") if "blas" in l.lower()}):
+    lib = ctypes.CDLL(path)
+    for sym in ("openblas_get_num_threads", "scipy_openblas_get_num_threads64_",
+                "openblas_get_num_threads64_"):
+        if hasattr(lib, sym):
+            threads = getattr(lib, sym)()
+print(threads)
+"""
+
+
+@pytest.mark.parametrize("env, want", [({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2)],
+                         ids=["unset", "caller-set-2"])
+def test_cli_import_pins_blas_threads_unless_set(env, want):
+    proc = run_python(["-c", BLAS_THREADS_PROBE], **env)
+    assert proc.returncode == 0, proc.stderr
+    numpy_after_package, threads = proc.stdout.split()
+    assert numpy_after_package == "False"   # so salattn.cli can pin before numpy loads
+    if threads == "None":
+        pytest.skip("no OpenBLAS thread getter in this numpy")
+    assert int(threads) == want
+
+
+def test_train_bitwise_identical_across_blas_threads(tmp_path):
+    """The README's promise: results do not depend on the BLAS thread count."""
+    cfg = write_cfg(tmp_path / "synth.cfg", height=32, width=32, frames_per_video=4,
+                    dataset_root=tmp_path / "data")
+    assert main(["synth", "--config", cfg]) == 0
+    outputs = []
+    for threads in ("1", "2"):
+        cfg = write_cfg(tmp_path / f"train{threads}.cfg", height=32, width=32,
+                        frames_per_video=4, batch_frames=4, steps=3,
+                        dataset_root=tmp_path / "data",
+                        checkpoint_path=tmp_path / f"model{threads}.ckpt",
+                        output_dir=tmp_path / f"out{threads}")
+        proc = run_python(["-m", "salattn.cli", "train", "--config", cfg],
+                          OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(((tmp_path / f"model{threads}.ckpt").read_bytes(),
+                        (tmp_path / f"out{threads}" / "loss_log.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_perfbench_tracer_runs_train(tmp_path):
     """perfbench's tracer wraps the tape from outside the program: a 2-step
     train under it exits 0, builds no gradient it then throws away, and
     times the backward of every conv and upsample kind."""
-    root = Path(__file__).resolve().parent.parent
     cfg = write_cfg(tmp_path / "run.cfg", n_videos=3, frames_per_video=4, height=32, width=32,
                     holdout=1, batch_videos=2, batch_frames=4, steps=2,
                     dataset_root=tmp_path / "data", checkpoint_path=tmp_path / "model.ckpt",
                     output_dir=tmp_path / "out")
     assert main(["synth", "--config", cfg]) == 0
     proc = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "trace_main.py"), str(tmp_path / "trace.json"),
+        [sys.executable, str(ROOT / "perfbench" / "trace_main.py"), str(tmp_path / "trace.json"),
          "train", "--config", cfg],
-        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     summary = json.loads((tmp_path / "trace.json").read_text())

@@ -1,5 +1,6 @@
 """Model assembly, loss composition, SGD training step, checkpoints."""
 
+import math
 import struct
 import warnings
 
@@ -290,3 +291,53 @@ def test_checkpoint_shape_mismatch_named(tmp_path):
     fresh = SaliencyModel(ModelConfig(channels=16), seed=1)
     for k in other.params:
         assert np.array_equal(other.params[k].data, fresh.params[k].data)
+
+
+def checkpoint_spans(blob):
+    """(start, end) byte spans of the magic and each tensor header, and of
+    each tensor payload, walking a well-formed checkpoint."""
+    headers, payloads, off = [(0, len(CHECKPOINT_MAGIC))], [], len(CHECKPOINT_MAGIC)
+    while off < len(blob):
+        (n,) = struct.unpack_from("<I", blob, off)
+        (rank,) = struct.unpack_from("<I", blob, off + 4 + n)
+        shape = struct.unpack_from(f"<{rank}I", blob, off + 8 + n)
+        end = off + 8 + n + 4 * rank
+        headers.append((off, end))
+        payloads.append((end, end + 8 * math.prod(shape)))
+        off = payloads[-1][1]
+    return headers, payloads
+
+
+def test_checkpoint_fuzz_raises_only_checkpoint_error(tmp_path):
+    """Truncation at every header byte and at seeded payload offsets, and
+    seeded random bytes written into header fields: each file raises
+    CheckpointError, never anything else."""
+    m = SaliencyModel(ModelConfig(channels=2, stem_widths=(2, 2, 2)), seed=1)
+    save_checkpoint(tmp_path / "model.ckpt", m)
+    blob = (tmp_path / "model.ckpt").read_bytes()
+    headers, payloads = checkpoint_spans(blob)
+    assert payloads[-1][1] == len(blob)
+    rng = np.random.default_rng(2024)
+    cases = [blob[:cut] for start, end in headers for cut in range(start, end)]
+    for _ in range(200):
+        start, end = payloads[rng.integers(len(payloads))]
+        cases.append(blob[:rng.integers(start, end)])
+    for _ in range(400):
+        start, end = headers[rng.integers(len(headers))]
+        at = int(rng.integers(start, end))
+        n = int(rng.integers(1, 5))
+        case = blob[:at] + rng.bytes(n) + blob[at + n:]
+        if case != blob:
+            cases.append(case)
+    rejected = 0
+    for i, case in enumerate(cases):
+        path = tmp_path / f"{i}.ckpt"     # a fresh file: rewriting one is slow
+        path.write_bytes(case)
+        try:
+            load_checkpoint(path, m)
+        except CheckpointError:
+            rejected += 1
+        path.unlink()
+    # Every header byte is checked against the model's manifest, so only an
+    # unchanged file loads.
+    assert rejected == len(cases)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from salattn import tensor as T
-from salattn.ops import (EmptyRegionError, bce_loss, bilinear_upsample_x2,
-                         conv2d, depthwise_conv2d, masked_avg_pool, mean_hw,
-                         softmax_rows)
+from salattn.ops import (EmptyRegionError, _up2_matrix, bce_loss,
+                         bilinear_upsample_x2, conv2d, depthwise_conv2d,
+                         masked_avg_pool, mean_hw, softmax_rows)
 from salattn.tensor import GradTape, ShapeError
 
 
@@ -352,6 +352,14 @@ def test_upsample_random_oracle():
             x = rng.standard_normal((h, w, 2))
             out = bilinear_upsample_x2(T.constant(x)).data
             assert np.max(np.abs(out - upsample_reference(x))) <= 1e-13
+
+
+def test_upsample_matrix_is_cached_read_only():
+    # Every upsample of an extent shares one matrix, so writing to it must fail.
+    m = _up2_matrix(5)
+    assert _up2_matrix(5) is m
+    with pytest.raises(ValueError):
+        m[0, 0] = 2.0
 
 
 def test_upsample_adjoint_identity():
