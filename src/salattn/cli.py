@@ -110,6 +110,9 @@ def cmd_train(cfg: RunConfig) -> int:
             raise CliError("config", f"batch_frames {cfg.batch_frames} exceeds "
                                      f"{v.frames.shape[0]} frames of {v.video_id}")
 
+    # Make both output directories now, so a bad path fails before step 1.
+    Path(cfg.checkpoint_path).parent.mkdir(parents=True, exist_ok=True)
+    Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
     model = _build_model(cfg)
     print(f"model parameters: {model.param_count()}")
     settings = TrainSettings(lr=cfg.lr, tau=cfg.tau, k_pos=cfg.k_pos, k_neg=cfg.k_neg,
@@ -140,9 +143,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def _write_loss_log(cfg: RunConfig, rows) -> None:
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(out / "loss_log.csv", "\n".join(rows) + "\n")
+    atomic_write_text(Path(cfg.output_dir) / "loss_log.csv", "\n".join(rows) + "\n")
 
 
 # ---------------------------------------------------------------------------

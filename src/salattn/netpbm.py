@@ -2,7 +2,8 @@
 
 Values are floats in [0, 1]. Writing quantizes with round half up,
 floor(v * 255 + 0.5); reading divides by 255, so a write/read round trip
-moves a value by at most 1/510. Parse failures report the byte offset.
+moves a value by at most 1/510. Parse failures report the byte offset, and
+writing refuses a NaN or infinite value rather than store a grey level for it.
 Writes go through a temp file and an atomic rename.
 """
 
@@ -17,8 +18,10 @@ class NetpbmError(ValueError):
     """Malformed or truncated netpbm file."""
 
 
-def _quantize(a: np.ndarray) -> np.ndarray:
-    q = np.floor(np.asarray(a, dtype=np.float64) * 255.0 + 0.5)
+def _quantize(path, a: np.ndarray) -> np.ndarray:
+    if not np.isfinite(a).all():
+        raise NetpbmError(f"{path}: non-finite pixel value, nothing written")
+    q = np.floor(a * 255.0 + 0.5)
     return np.clip(q, 0.0, 255.0).astype(np.uint8)
 
 
@@ -39,7 +42,7 @@ def write_ppm(path, img: np.ndarray) -> None:
         raise ValueError(f"PPM image must be (h, w, 3), got {img.shape}")
     h, w, _ = img.shape
     header = f"P6\n{w} {h}\n255\n".encode("ascii")
-    atomic_write_bytes(path, header + _quantize(img).tobytes())
+    atomic_write_bytes(path, header + _quantize(path, img).tobytes())
 
 
 def write_pgm(path, img: np.ndarray) -> None:
@@ -48,7 +51,7 @@ def write_pgm(path, img: np.ndarray) -> None:
         raise ValueError(f"PGM image must be (h, w), got {img.shape}")
     h, w = img.shape
     header = f"P5\n{w} {h}\n255\n".encode("ascii")
-    atomic_write_bytes(path, header + _quantize(img).tobytes())
+    atomic_write_bytes(path, header + _quantize(path, img).tobytes())
 
 
 class _Scanner:

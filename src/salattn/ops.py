@@ -3,6 +3,8 @@
 Convolutions use odd kernels with symmetric zero padding of (k-1)//2 per
 side, so spatial extent maps as ceil(h/stride) for the strides used here.
 Forward passes are strided-view im2col plus one matmul; a constant input gets no dx.
+On a tape an op keeps its inputs and output, not its scratch: conv2d rebuilds
+its patch matrix in backward rather than keep it between the passes.
 """
 
 from __future__ import annotations
@@ -48,9 +50,16 @@ def _conv_geometry(h: int, w: int, kh: int, kw: int, stride: int):
     return ph, pw, oh, ow
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
-    """(hp, wp, c) padded input -> (oh*ow, kh*kw*c) patch matrix: a read-only
-    strided window view, copied once by the reshape (1x1 stride 1: no copy)."""
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
+    """(h, w, c) input -> (oh*ow, kh*kw*c) patch matrix of its zero-padded
+    copy: a read-only strided window view, copied once by the reshape
+    (1x1 stride 1: no copy at all)."""
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
+    xp = x
+    if ph or pw:
+        h, w, c = x.shape
+        xp = np.zeros((h + 2 * ph, w + 2 * pw, c), dtype=np.float64)
+        xp[ph:ph + h, pw:pw + w, :] = x
     s0, s1, s2 = xp.strides
     return np.lib.stride_tricks.as_strided(
         xp, (oh, ow, kh, kw, xp.shape[2]), (s0 * stride, s1 * stride, s0, s1, s2),
@@ -59,7 +68,8 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> 
 
 def _col2im(dcols: np.ndarray, hp: int, wp: int, c: int, kh: int, kw: int,
             stride: int, oh: int, ow: int) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add patch gradients back to the padded input."""
+    """Adjoint of _im2col's patch gather: scatter-add patch gradients back to
+    the (hp, wp, c) padded input."""
     dxp = np.zeros((hp, wp, c), dtype=np.float64)
     d = dcols.reshape(oh, ow, kh, kw, c)
     for i in range(kh):
@@ -84,14 +94,9 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, stride: int = 
         raise ShapeError(f"conv2d: bias shape {bias.shape} does not match {cout} output channels")
     ph, pw, oh, ow = _conv_geometry(h, w, kh, kw, stride)
 
-    xp = x.data
-    if ph or pw:
-        xp = np.zeros((h + 2 * ph, w + 2 * pw, cin), dtype=np.float64)
-        xp[ph:ph + h, pw:pw + w, :] = x.data
-    hp, wp = xp.shape[0], xp.shape[1]
-    cols = _im2col(xp, kh, kw, stride, oh, ow)
+    xd = x.data
     wmat = kernel.data.reshape(kh * kw * cin, cout)
-    out_flat = cols @ wmat
+    out_flat = _im2col(xd, kh, kw, stride, oh, ow) @ wmat
     if bias is not None:
         out_flat = out_flat + bias.data
     out = out_flat.reshape(oh, ow, cout)
@@ -101,9 +106,11 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, stride: int = 
 
     def backward(g):
         gf = g.reshape(oh * ow, cout)
-        dw = (cols.T @ gf).reshape(kh, kw, cin, cout)
+        # The patch matrix is rebuilt, not kept: it is kh*kw times the input.
+        dw = (_im2col(xd, kh, kw, stride, oh, ow).T @ gf).reshape(kh, kw, cin, cout)
         dx = None   # a constant input, such as the frame, gets no gradient
         if x_needs_grad:
+            hp, wp = h + 2 * ph, w + 2 * pw
             dx = _col2im(gf @ wmat.T, hp, wp, cin, kh, kw, stride, oh, ow)[ph:hp - ph, pw:wp - pw]
         if bias is None:
             return (dx, dw)

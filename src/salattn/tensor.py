@@ -7,6 +7,11 @@ replays the records in exact reverse execution order and accumulates
 gradients additively, so a parameter used twice receives the sum of both
 contributions.
 
+The tape keeps each op's inputs and output alive, and whatever its closure
+captures; closures capture those arrays or small ones, rebuilding anything
+larger in backward. `gradient` drops an intermediate's gradient once it has
+been used, so backward holds only the gradients still waiting on a record.
+
 Operations are pure functions of their inputs. With no active tape they do
 no bookkeeping at all, which is what inference uses.
 """
@@ -98,26 +103,28 @@ class GradTape:
     def gradient(self, loss: Tensor, sources) -> list:
         """Gradients of a scalar loss with respect to each source tensor.
 
-        Sources never touched by the recorded computation get zeros. The
-        records are kept, so calling again is allowed and gives the same
-        answer.
+        An intermediate's gradient is dropped as soon as its record has run,
+        since every consumer was recorded later and so has already given its
+        share; only the sources' gradients live to the end. Backward closures
+        may hand one array to several inputs, so sums are taken out of place
+        and each source gets a fresh, writable copy. Sources never touched
+        by the recorded computation get zeros. The records are kept, so
+        calling again is allowed and gives the same answer.
         """
         if loss.data.size != 1:
             raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
+        keep = {id(s) for s in sources}
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
         for out, inputs, backward in reversed(self._records):
-            g = grads.get(id(out))
+            g = grads.get(id(out)) if id(out) in keep else grads.pop(id(out), None)
             if g is None:
                 continue
             for t, gt in zip(inputs, backward(g)):
-                if gt is None or not t.requires_grad:
-                    continue
-                acc = grads.get(id(t))
-                if acc is None:
-                    grads[id(t)] = np.array(gt, dtype=np.float64)
-                else:
-                    acc += gt
-        return [grads.get(id(s), np.zeros_like(s.data)) for s in sources]
+                if gt is not None and t.requires_grad:
+                    k = id(t)
+                    grads[k] = grads[k] + gt if k in grads else gt
+        return [np.array(grads[id(s)], dtype=np.float64) if id(s) in grads
+                else np.zeros_like(s.data) for s in sources]
 
 
 def _trace(out_data: np.ndarray, inputs: tuple, backward) -> Tensor:
@@ -229,8 +236,8 @@ def sum_all(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0.0
-    return _trace(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
+    out = np.maximum(a.data, 0.0)
+    return _trace(out, (a,), lambda g: (g * (out > 0.0),))
 
 
 def sigmoid(a: Tensor) -> Tensor:

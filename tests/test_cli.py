@@ -202,6 +202,18 @@ def test_default_config_step_mines_full_pools(tmp_path):
     assert float(step1[3]) > 0.0   # anchors were mined
 
 
+def test_train_creates_checkpoint_directory(tmp_path, monkeypatch):
+    """A checkpoint path in a directory that does not exist yet gets its
+    directory made, so the run keeps both its checkpoint and its loss log."""
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg("run.cfg", frames_per_video=4, batch_frames=4, steps=2,
+                    dataset_root="data", checkpoint_path="nodir/model.ckpt", output_dir="out")
+    assert main(["synth", "--config", cfg]) == 0
+    assert main(["train", "--config", cfg]) == 0
+    load_checkpoint(tmp_path / "nodir" / "model.ckpt", SaliencyModel(ModelConfig(), seed=1))
+    assert len((tmp_path / "out" / "loss_log.csv").read_text().splitlines()) == 3
+
+
 def test_train_validates_batch_against_dataset(mini, capsys):
     tmp_path, _ = mini
     bad = write_cfg(tmp_path / "bad.cfg", holdout=3,
@@ -419,11 +431,8 @@ def test_usage_errors_exit_two(capsys):
 
 
 def test_cli_runs_in_subprocess():
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from salattn.cli import main; sys.exit(main(sys.argv[1:]))",
-         "bench", "8", "8", "8", "--repeats", "1"],
-        capture_output=True, text=True, timeout=120)
+    proc = run_python(["-c", "import sys; from salattn.cli import main; sys.exit(main(sys.argv[1:]))",
+                       "bench", "8", "8", "8", "--repeats", "1"])
     assert proc.returncode == 0
     assert "multiply ratio naive/reordered" in proc.stdout
 

@@ -5,6 +5,8 @@ write, /255 on read, so no value moves by more than 1/510. Error cases
 check both the message and the reported byte offset.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -134,3 +136,17 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     write_pgm(tmp_path / "a.pgm", np.zeros((2, 2)))
     names = sorted(f.name for f in tmp_path.iterdir())
     assert names == ["a.pgm"]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_write_refuses_non_finite_pixels(tmp_path, bad):
+    """A non-finite value raises NetpbmError, with no numpy warning, and
+    leaves no file behind, where it used to be cast to some grey level."""
+    for write, shape in ((write_pgm, (4, 5)), (write_ppm, (4, 5, 3))):
+        img = np.full(shape, 0.5)
+        img[2, 3] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NetpbmError, match="non-finite"):
+                write(tmp_path / "img", img)
+    assert list(tmp_path.iterdir()) == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from salattn import tensor as T
-from salattn.ops import (EmptyRegionError, _up2_matrix, bce_loss,
+from salattn.ops import (EmptyRegionError, _im2col, _up2_matrix, bce_loss,
                          bilinear_upsample_x2, conv2d, depthwise_conv2d,
                          masked_avg_pool, mean_hw, softmax_rows)
 from salattn.tensor import GradTape, ShapeError
@@ -127,6 +127,36 @@ def test_conv_random_against_sliding_window():
                 assert np.max(np.abs(out - ref)) <= 1e-12
     assert conv2d(T.constant(rng.standard_normal((5, 7, 2))),
                   T.constant(rng.standard_normal((3, 3, 2, 2))), stride=2).shape == (3, 4, 2)
+
+
+def test_conv_kernel_gradient_rebuilds_patch_matrix():
+    """The backward keeps no patch matrix (the tape keeps the input instead)
+    and its kernel gradient is, bit for bit, the rebuilt patch matrix's
+    transpose times the output gradient, for every case of the oracle test
+    above; the rebuilt patches are the padded input's sliding windows."""
+    rng = np.random.default_rng(65)
+    for k_side in (1, 3):
+        for stride in (1, 2, 4):
+            for h, w in ((6, 8), (7, 5), (9, 9)):
+                x = rng.standard_normal((h, w, 3))
+                k = T.parameter(rng.standard_normal((k_side, k_side, 3, 4)))
+                with GradTape() as tape:
+                    out = conv2d(T.constant(x), k, T.parameter(rng.standard_normal(4)),
+                                 stride=stride)
+                (_, _, backward), = tape._records
+                held = [c.cell_contents for c in backward.__closure__]
+                assert all(np.shares_memory(a, x) or np.shares_memory(a, k.data)
+                           for a in held if isinstance(a, np.ndarray))
+                oh, ow, _ = out.shape
+                g = rng.standard_normal(out.shape)
+                cols = _im2col(x, k_side, k_side, stride, oh, ow)
+                p = k_side // 2
+                xp = np.pad(x, ((p, p), (p, p), (0, 0)))
+                windows = [xp[i * stride:i * stride + k_side, j * stride:j * stride + k_side].ravel()
+                           for i in range(oh) for j in range(ow)]
+                assert np.array_equal(cols, np.array(windows))
+                want = (cols.T @ g.reshape(oh * ow, 4)).reshape(k.shape)
+                assert np.array_equal(backward(g)[1], want)
 
 
 def test_conv_constant_input_gets_no_gradient():

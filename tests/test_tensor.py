@@ -1,6 +1,7 @@
 """Tensor primitives: forward oracles and closed-form gradient contracts."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -237,6 +238,42 @@ def test_gradient_untouched_source_is_zero():
     assert np.all(ga == 1.0)
     assert gu.shape == (2, 2)
     assert np.all(gu == 0.0)
+
+
+def test_gradient_returns_private_writable_arrays():
+    """add's backward hands one array to both inputs; each source still gets
+    its own writable array, and an intermediate source keeps its gradient."""
+    a = T.parameter(np.array([1.0, 2.0]))
+    b = T.parameter(np.array([3.0, -4.0]))
+    with GradTape() as tape:
+        s = T.add(a, b)
+        loss = T.sum_all(T.mul(s, s))
+    ga, gb, gs = tape.gradient(loss, [a, b, s])
+    assert all(g.flags.writeable for g in (ga, gb, gs))
+    assert not np.shares_memory(ga, gb)
+    assert np.array_equal(gs, 2.0 * s.data)
+    ga += 1.0
+    assert np.array_equal(gb, 2.0 * s.data)
+
+
+def test_gradient_holds_few_gradients_at_once():
+    """Backward over a chain of 20 same-size ops holds only a few arrays at
+    once: an intermediate's gradient is dropped when its record has run.
+    Keeping every gradient to the end would hold about 20."""
+    x = T.parameter(np.random.default_rng(5).standard_normal((64, 64)))
+    with GradTape() as tape:
+        y = x
+        for i in range(20):
+            y = T.relu(y) if i % 2 else T.scale(y, 1.5)
+        loss = T.sum_all(y)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tape.gradient(loss, [x])
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * x.data.nbytes
 
 
 def test_gradient_call_is_repeatable():
