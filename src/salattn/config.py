@@ -7,6 +7,7 @@ divisible by 8 to match the three stride-2 encoder stages.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 
@@ -54,8 +55,8 @@ def _positive_float(key, raw):
         v = float(raw)
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
-    if not v > 0.0:
-        raise ConfigError(f"{key}: must be positive, got {v}")
+    if not 0.0 < v < math.inf:
+        raise ConfigError(f"{key}: must be positive and finite, got {v}")
     return v
 
 
@@ -75,6 +76,8 @@ def _flag(key, raw):
 def _path(key, raw):
     if not raw:
         raise ConfigError(f"{key}: empty path")
+    if "\0" in raw:   # the OS cannot open such a path
+        raise ConfigError(f"{key}: NUL byte in path")
     return raw
 
 
@@ -125,7 +128,12 @@ def parse_config(text: str) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_config(fh.read())
+        with open(path, "rb") as fh:
+            blob = fh.read()
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e.strerror}") from None
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config {path} is not UTF-8 at byte {e.start}") from None
+    return parse_config(text)

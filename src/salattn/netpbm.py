@@ -9,6 +9,7 @@ Writes go through a temp file and an atomic rename.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -88,13 +89,18 @@ class _Scanner:
 
     def int_token(self, what: str) -> int:
         tok = self.token(what)
+        at = self.off - len(tok)
         if not tok.isdigit():
-            self.fail(f"expected integer {what}, found {tok[:16]!r}",
-                      at=self.off - len(tok))
-        return int(tok)
+            self.fail(f"expected integer {what}, found {tok[:16]!r}", at=at)
+        try:
+            return int(tok)
+        except ValueError:   # past Python's limit on digits per conversion
+            self.fail(f"integer {what} of {len(tok)} digits is too long", at=at)
 
 
-def _read(path, magic: bytes, channels: int) -> np.ndarray:
+def _parse(path, magic: bytes, channels: int) -> tuple[bytes, tuple, int]:
+    """The file's bytes, its image shape and the raster's byte offset, after
+    checking the header and that the raster is long enough."""
     with open(path, "rb") as fh:
         blob = fh.read()
     sc = _Scanner(blob, path)
@@ -115,9 +121,19 @@ def _read(path, magic: bytes, channels: int) -> np.ndarray:
     need = w * h * channels
     if len(blob) - sc.off < need:
         sc.fail(f"truncated pixel data, need {need} bytes, have {len(blob) - sc.off}")
-    raw = np.frombuffer(blob, dtype=np.uint8, count=need, offset=sc.off)
-    shape = (h, w, channels) if channels > 1 else (h, w)
+    return blob, ((h, w, channels) if channels > 1 else (h, w)), sc.off
+
+
+def _read(path, magic: bytes, channels: int) -> np.ndarray:
+    blob, shape, off = _parse(path, magic, channels)
+    raw = np.frombuffer(blob, dtype=np.uint8, count=math.prod(shape), offset=off)
     return raw.reshape(shape).astype(np.float64) / 255.0
+
+
+def ppm_shape(path) -> tuple:
+    """(h, w, 3) of a PPM whose header and raster length check out, decoding
+    no pixels: read_ppm of the same file then fails only if it changed."""
+    return _parse(path, b"P6", 3)[1]
 
 
 def read_ppm(path) -> np.ndarray:

@@ -13,6 +13,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -22,7 +23,7 @@ import pytest
 from salattn.cli import main
 from salattn.config import ConfigError, RunConfig, load_config, parse_config
 from salattn.contrastive import DegenerateBatchWarning
-from salattn.model import ModelConfig, SaliencyModel, load_checkpoint
+from salattn.model import ModelConfig, SaliencyModel, load_checkpoint, save_checkpoint
 from salattn.netpbm import read_pgm, write_pgm, write_ppm
 
 # ---------------------------------------------------------------------------
@@ -73,6 +74,11 @@ def test_config_value_validation():
         parse_config("seed=-4\n")
     with pytest.raises(ConfigError, match="lr: must be positive"):
         parse_config("lr=0\n")
+    # An infinite lr used to load, then fail at step 1 as a non-finite parameter.
+    with pytest.raises(ConfigError, match="lr: must be positive and finite, got inf"):
+        parse_config("lr=1e400\n")
+    with pytest.raises(ConfigError, match="tau: must be positive and finite, got inf"):
+        parse_config("tau=inf\n")
     with pytest.raises(ConfigError, match="height: must be divisible by 8"):
         parse_config("height=20\n")
     with pytest.raises(ConfigError, match="width: must be >= 8"):
@@ -81,11 +87,46 @@ def test_config_value_validation():
         parse_config("use_contrastive=yes\n")
     with pytest.raises(ConfigError, match="output_dir: empty path"):
         parse_config("output_dir=\n")
+    with pytest.raises(ConfigError, match="output_dir: NUL byte in path"):
+        parse_config("output_dir=a\0b\n")
 
 
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read config"):
         load_config(tmp_path / "none.cfg")
+
+
+def test_load_config_not_utf8(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"seed = 1\xff\n")
+    with pytest.raises(ConfigError, match="not UTF-8 at byte 8"):
+        load_config(path)
+    assert main(["train", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("ERROR[config]")
+
+
+def test_config_fuzz_raises_only_config_error(tmp_path):
+    """Truncation at every byte and seeded random bytes written into keys
+    and values: each file either loads or raises ConfigError."""
+    blob = (b"# run\nseed = 7\nsteps=12  # short\nlr = 2e-3\ntau=0.1\nheight = 32\n"
+            b"use_attention=1\ndataset_root = data\n")
+    rng = np.random.default_rng(2026)
+    cases = [blob[:cut] for cut in range(len(blob) + 1)]
+    for _ in range(300):
+        at = int(rng.integers(len(blob)))
+        n = int(rng.integers(1, 5))
+        cases.append(blob[:at] + rng.bytes(n) + blob[at + n:])
+    loaded = 0
+    for i, case in enumerate(cases):
+        path = tmp_path / f"{i}.cfg"
+        path.write_bytes(case)
+        try:
+            load_config(path)
+            loaded += 1
+        except ConfigError:
+            pass
+        path.unlink()
+    assert 0 < loaded < len(cases)
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +326,36 @@ def test_infer_rejects_bad_frame_shapes(mini, capsys):
     assert "divisible by 8, got 20x20" in err
 
 
+def one_error_line(err, category):
+    lines = err.splitlines()
+    return len(lines) == 1 and lines[0].startswith(f"ERROR[{category}]")
+
+
+@pytest.mark.parametrize("defect, category", [("shape", "dataset"), ("truncated", "io"),
+                                              ("huge-width", "io")])
+def test_infer_bad_last_frame_writes_no_map(mini, capsys, defect, category):
+    """Frames stream one at a time, but every header is checked first: a
+    bad frame that sorts last still fails before any map is written."""
+    tmp_path, cfg = mini
+    assert main(["train", "--config", cfg]) == 0
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    for i in range(3):
+        write_ppm(frames / f"{i:05d}.ppm", np.full((16, 16, 3), 0.25 * i))
+    last = frames / "00003.ppm"
+    if defect == "shape":
+        write_ppm(last, np.zeros((16, 24, 3)))
+    elif defect == "truncated":
+        write_ppm(last, np.zeros((16, 16, 3)))
+        last.write_bytes(last.read_bytes()[:-1])
+    else:
+        last.write_bytes(b"P6\n" + b"9" * 5000 + b" 16\n255\n" + bytes(768))
+    capsys.readouterr()
+    assert main(["infer", "--config", cfg, "--frames", str(frames)]) == 1
+    assert one_error_line(capsys.readouterr().err, category)
+    assert not list(tmp_path.glob("out/*.pgm"))
+
+
 def test_infer_missing_and_corrupt_checkpoint(mini, capsys):
     tmp_path, cfg = mini
     frames = str(tmp_path / "data" / "video00" / "frames")
@@ -398,6 +469,52 @@ def test_eval_rejects_shape_mismatch(tmp_path, capsys):
     assert err.startswith("ERROR[dataset]")
     assert "vid/00001" in err
     assert not (pred / "metrics.tsv").exists()
+
+
+def test_eval_unreadable_last_pair_writes_no_report(tmp_path, capsys):
+    """Pairs stream one at a time, but the report is written only once every
+    pair has scored (test_eval_rejects_shape_mismatch covers a last-pair
+    shape mismatch)."""
+    pred, gt = make_eval_dirs(tmp_path)
+    last = pred / "vid" / "00001.pgm"
+    last.write_bytes(last.read_bytes()[:-1])
+    assert main(["eval", "--pred", str(pred), "--gt", str(gt)]) == 1
+    assert one_error_line(capsys.readouterr().err, "io")
+    assert not list(pred.glob("metrics.*"))
+
+
+def traced_peak(argv):
+    """tracemalloc peak of one in-process main(argv), which must exit 0."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_infer_and_eval_hold_one_frame_at_a_time(tmp_path):
+    """From 2 to 12 frames of 128x128, the traced peak of `infer` and of
+    `eval` grows by less than one float64 frame. Holding every frame and
+    map grew infer's peak by about 5 MB and eval's by about 2.5 MB."""
+    save_checkpoint(tmp_path / "model.ckpt", SaliencyModel(ModelConfig(), seed=1))
+    rng = np.random.default_rng(11)
+    frame_bytes = 128 * 128 * 3 * 8
+    peaks = {}
+    for n in (2, 12):
+        frames, gt = tmp_path / f"frames{n}", tmp_path / f"gt{n}"
+        frames.mkdir()
+        gt.mkdir()
+        for i in range(n):
+            write_ppm(frames / f"{i:05d}.ppm", rng.random((128, 128, 3)))
+            write_pgm(gt / f"{i:05d}.pgm", (rng.random((128, 128)) < 0.3).astype(np.float64))
+        cfg = write_cfg(tmp_path / f"infer{n}.cfg", checkpoint_path=tmp_path / "model.ckpt",
+                        output_dir=tmp_path / f"pred{n}")
+        peaks["infer", n] = traced_peak(["infer", "--config", cfg, "--frames", str(frames)])
+        peaks["eval", n] = traced_peak(["eval", "--pred", str(tmp_path / f"pred{n}"),
+                                        "--gt", str(gt)])
+    for cmd in ("infer", "eval"):
+        assert peaks[cmd, 12] - peaks[cmd, 2] < frame_bytes, (cmd, peaks)
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,14 @@ write, /255 on read, so no value moves by more than 1/510. Error cases
 check both the message and the reported byte offset.
 """
 
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from salattn.netpbm import (NetpbmError, read_pgm, read_ppm, write_pgm,
-                            write_ppm)
+from salattn.netpbm import (NetpbmError, ppm_shape, read_pgm, read_ppm,
+                            write_pgm, write_ppm)
 
 
 def test_ppm_round_trip_exact_endpoints(tmp_path):
@@ -122,6 +123,61 @@ def test_truncated_pixel_data(tmp_path):
     p.write_bytes(b"P6\n2 2\n255\n" + bytes(11))   # needs 12
     with pytest.raises(NetpbmError, match="truncated pixel data, need 12 bytes, have 11"):
         read_ppm(p)
+
+
+def test_huge_header_integer_reports_offset(tmp_path):
+    """A header integer past Python's 4300-digit conversion limit is a
+    NetpbmError with its byte offset, not a bare ValueError."""
+    p = tmp_path / "huge.ppm"
+    p.write_bytes(b"P6\n" + b"9" * 5000 + b" 2\n255\n" + bytes(12))
+    for read in (read_ppm, ppm_shape):
+        with pytest.raises(NetpbmError, match="width of 5000 digits is too long at byte 3"):
+            read(p)
+
+
+def test_ppm_shape_checks_header_and_raster_length(tmp_path):
+    p = tmp_path / "a.ppm"
+    write_ppm(p, np.zeros((4, 5, 3)))
+    assert ppm_shape(p) == (4, 5, 3) == read_ppm(p).shape
+    p.write_bytes(p.read_bytes()[:-1])
+    with pytest.raises(NetpbmError, match="truncated pixel data, need 60 bytes, have 59"):
+        ppm_shape(p)
+    p.write_bytes(b"P5\n5 4\n255\n" + bytes(20))
+    with pytest.raises(NetpbmError, match="expected magic P6.*at byte 0"):
+        ppm_shape(p)
+
+
+@pytest.mark.parametrize("read, magic, shape", [(read_ppm, b"P6", (4, 5, 3)),
+                                                (ppm_shape, b"P6", (4, 5, 3)),
+                                                (read_pgm, b"P5", (4, 5))],
+                         ids=["read_ppm", "ppm_shape", "read_pgm"])
+def test_fuzz_raises_only_netpbm_error(tmp_path, read, magic, shape):
+    """Truncation at every byte, seeded random bytes written into the
+    header, and a header field replaced by a 5000-digit run: each file
+    either reads or raises NetpbmError, never anything else."""
+    raster = np.random.default_rng(7).integers(0, 256, size=shape, dtype=np.uint8).tobytes()
+    header = magic + b" # comment\n5 4\t255\n"
+    blob = header + raster
+    rng = np.random.default_rng(2025)
+    cases = [blob[:cut] for cut in range(len(blob))]
+    for _ in range(300):
+        at = int(rng.integers(len(header)))
+        n = int(rng.integers(1, 5))
+        cases.append(blob[:at] + rng.bytes(n) + blob[at + n:])
+    fields = [(m.start(), m.end()) for m in re.finditer(rb"[^\s]+", header)]
+    cases += [blob[:a] + b"7" * 5000 + blob[b:] for a, b in fields]
+    rejected = 0
+    for i, case in enumerate(cases):
+        path = tmp_path / f"{i}.img"
+        path.write_bytes(case)
+        try:
+            read(path)
+        except NetpbmError:
+            rejected += 1
+        path.unlink()
+    # Every truncation and every digit run is rejected; a random byte may
+    # land in the comment and leave a valid file.
+    assert rejected >= len(blob) + len(fields)
 
 
 def test_trailing_bytes_ignored(tmp_path):
