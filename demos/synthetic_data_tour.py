@@ -64,8 +64,8 @@ def main():
         files = sorted(p.relative_to(tmp).as_posix() for p in Path(tmp).rglob("*.p?m"))
         print()
         print(f"saved {len(files)} netpbm files, e.g. {files[0]} and {files[-1]}")
-        back = load_dataset(tmp)[0]
-        worst = np.max(np.abs(back.frames - video.frames))
+        back = load_dataset(tmp)[0]   # the files' uint8 levels and bool masks
+        worst = np.max(np.abs(back.frames / 255.0 - video.frames))
         print(f"round trip: max frame error {worst:.6f} (bound 1/510 = {1 / 510:.6f}), "
               f"masks exact: {bool(np.array_equal(back.masks, video.masks))}")
 

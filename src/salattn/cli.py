@@ -7,6 +7,8 @@ after printing a single machine-parsable line to stderr of the form
     ERROR[category] message
 
 with category one of usage, config, dataset, io, checkpoint, numeric.
+A warning prints one line too, `WARNING[WarningClass] message`, with no
+source line.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import argparse
 import os
 import sys
 import time
+import warnings
 from pathlib import Path
 
 # One BLAS thread per process unless the caller chose a count. OpenBLAS reads
@@ -322,6 +325,8 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    saved_format = warnings.formatwarning
+    warnings.formatwarning = _one_line_warning
     try:
         args = _build_parser().parse_args(argv)
         if args.command == "synth":
@@ -358,10 +363,16 @@ def main(argv=None) -> int:
     except FloatingPointError as e:
         print(f"ERROR[numeric] {_one_line(e)}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = saved_format
 
 
 def _one_line(e: Exception) -> str:
     return " ".join(str(e).split())
+
+
+def _one_line_warning(message, category, filename, lineno, line=None) -> str:
+    return f"WARNING[{category.__name__}] {_one_line(message)}\n"
 
 
 if __name__ == "__main__":

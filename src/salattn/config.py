@@ -38,12 +38,22 @@ class RunConfig:
     output_dir: str = "out"
 
 
+def _echo(raw: str) -> str:
+    """raw quoted for an error line, cut to its first 32 characters."""
+    return repr(raw) if len(raw) <= 32 else f"{raw[:32]!r}... ({len(raw)} characters)"
+
+
 def _int_at_least(minimum):
     def convert(key, raw):
         try:
             v = int(raw, 0)
         except ValueError:
-            raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
+            # A long run of digits that int() refuses is past Python's limit
+            # on digits per conversion (or carries leading zeros).
+            digits = raw.lstrip("+-")
+            if digits.isdigit() and len(digits) > 32:
+                raise ConfigError(f"{key}: integer of {len(digits)} digits is too long") from None
+            raise ConfigError(f"{key}: expected an integer, got {_echo(raw)}") from None
         if v < minimum:
             raise ConfigError(f"{key}: must be >= {minimum}, got {v}")
         return v
@@ -54,7 +64,7 @@ def _positive_float(key, raw):
     try:
         v = float(raw)
     except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
+        raise ConfigError(f"{key}: expected a number, got {_echo(raw)}") from None
     if not 0.0 < v < math.inf:
         raise ConfigError(f"{key}: must be positive and finite, got {v}")
     return v
@@ -69,7 +79,7 @@ def _extent(key, raw):
 
 def _flag(key, raw):
     if raw not in ("0", "1"):
-        raise ConfigError(f"{key}: expected 0 or 1, got {raw!r}")
+        raise ConfigError(f"{key}: expected 0 or 1, got {_echo(raw)}")
     return int(raw)
 
 
@@ -114,11 +124,11 @@ def parse_config(text: str) -> RunConfig:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key=value, got {raw_line.strip()!r}")
+            raise ConfigError(f"line {lineno}: expected key=value, got {_echo(raw_line.strip())}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key not in _VALIDATORS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            raise ConfigError(f"line {lineno}: unknown key {_echo(key)}")
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)

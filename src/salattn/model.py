@@ -23,7 +23,7 @@ from . import tensor as T
 from .attention import (CoAttentionParams, DynamicFilterGenerator, GateParams,
                         coattention, gate, self_attention_block)
 from .contrastive import build_contrastive_batches, extract_region_features, infonce_loss
-from .netpbm import atomic_write_bytes
+from .netpbm import atomic_write_bytes, to_unit
 from .ops import bce_loss, conv2d, bilinear_upsample_x2
 from .rng import SplitMix64
 from .tensor import GradTape, ShapeError, Tensor
@@ -118,7 +118,10 @@ class SaliencyModel:
         return int(sum(t.data.size for t in self.params.values()))
 
     def forward(self, frame: np.ndarray) -> ForwardResult:
-        f = np.asarray(frame, dtype=np.float64)
+        """Saliency and head features of one (H, W, 3) frame: uint8 levels,
+        scaled here as read_ppm scales them, or floats in [0, 1]."""
+        f = np.asarray(frame)
+        f = to_unit(f) if f.dtype == np.uint8 else f.astype(np.float64, copy=False)
         if f.ndim != 3 or f.shape[2] != 3:
             raise ShapeError(f"frame must be (H, W, 3), got {f.shape}")
         hh, ww, _ = f.shape

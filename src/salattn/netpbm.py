@@ -1,9 +1,11 @@
 """Binary netpbm I/O: P6 (PPM, RGB) and P5 (PGM, gray), maxval 255.
 
-Values are floats in [0, 1]. Writing quantizes with round half up,
-floor(v * 255 + 0.5); reading divides by 255, so a write/read round trip
-moves a value by at most 1/510. Parse failures report the byte offset, and
-writing refuses a NaN or infinite value rather than store a grey level for it.
+Writers take uint8 levels, written as they are, or floats in [0, 1],
+quantized with round half up, floor(v * 255 + 0.5). `read_levels` returns
+the file's uint8 levels, and `read_ppm`/`read_pgm` scale them to floats
+with `to_unit` (divide by 255), so a float write/read round trip moves a
+value by at most 1/510. Parse failures report the byte offset, and writing
+refuses a NaN or infinite value rather than store a grey level for it.
 Writes go through a temp file and an atomic rename.
 """
 
@@ -20,6 +22,9 @@ class NetpbmError(ValueError):
 
 
 def _quantize(path, a: np.ndarray) -> np.ndarray:
+    if a.dtype == np.uint8:   # levels already, as load_dataset keeps frames
+        return a
+    a = np.asarray(a, dtype=np.float64)
     if not np.isfinite(a).all():
         raise NetpbmError(f"{path}: non-finite pixel value, nothing written")
     q = np.floor(a * 255.0 + 0.5)
@@ -38,7 +43,7 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def write_ppm(path, img: np.ndarray) -> None:
-    img = np.asarray(img, dtype=np.float64)
+    img = np.asarray(img)
     if img.ndim != 3 or img.shape[2] != 3:
         raise ValueError(f"PPM image must be (h, w, 3), got {img.shape}")
     h, w, _ = img.shape
@@ -47,7 +52,7 @@ def write_ppm(path, img: np.ndarray) -> None:
 
 
 def write_pgm(path, img: np.ndarray) -> None:
-    img = np.asarray(img, dtype=np.float64)
+    img = np.asarray(img)
     if img.ndim != 2:
         raise ValueError(f"PGM image must be (h, w), got {img.shape}")
     h, w = img.shape
@@ -124,10 +129,18 @@ def _parse(path, magic: bytes, channels: int) -> tuple[bytes, tuple, int]:
     return blob, ((h, w, channels) if channels > 1 else (h, w)), sc.off
 
 
-def _read(path, magic: bytes, channels: int) -> np.ndarray:
-    blob, shape, off = _parse(path, magic, channels)
+def read_levels(path, magic: bytes) -> np.ndarray:
+    """The raster of a P6 (magic b"P6", (h, w, 3)) or P5 (b"P5", (h, w))
+    file as its uint8 levels, 0-255."""
+    blob, shape, off = _parse(path, magic, 3 if magic == b"P6" else 1)
     raw = np.frombuffer(blob, dtype=np.uint8, count=math.prod(shape), offset=off)
-    return raw.reshape(shape).astype(np.float64) / 255.0
+    return raw.reshape(shape)
+
+
+def to_unit(levels: np.ndarray) -> np.ndarray:
+    """uint8 levels as float64 in [0, 1]: the one place a level is scaled, so
+    every reader and the model's input see the same bits."""
+    return levels.astype(np.float64) / 255.0
 
 
 def ppm_shape(path) -> tuple:
@@ -138,9 +151,9 @@ def ppm_shape(path) -> tuple:
 
 def read_ppm(path) -> np.ndarray:
     """(h, w, 3) float image in [0, 1]."""
-    return _read(path, b"P6", 3)
+    return to_unit(read_levels(path, b"P6"))
 
 
 def read_pgm(path) -> np.ndarray:
     """(h, w) float image in [0, 1]."""
-    return _read(path, b"P5", 1)
+    return to_unit(read_levels(path, b"P5"))

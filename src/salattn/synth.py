@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .netpbm import NetpbmError, read_pgm, read_ppm, write_pgm, write_ppm
+from .netpbm import read_levels, write_pgm, write_ppm
 from .rng import SplitMix64
 
 SHAPES = ("square", "disk")
@@ -45,9 +45,17 @@ class SynthConfig:
 
 @dataclass
 class VideoSequence:
+    """Frames and masks of one video, in the dtype of their producer.
+
+    `generate_video` gives float64 frames in [0, 1] and float64 masks in
+    {0.0, 1.0}; `load_dataset` gives the files' uint8 frames and bool
+    masks, and `save_video` writes either. `SaliencyModel.forward` scales a
+    uint8 frame to [0, 1] as `read_ppm` does, and the losses read a bool
+    mask as {0.0, 1.0}, so training sees the same bits either way.
+    """
     video_id: str
-    frames: np.ndarray   # (n, H, W, 3) float64 in [0, 1]
-    masks: np.ndarray    # (n, H, W) float64 in {0.0, 1.0}
+    frames: np.ndarray   # (n, H, W, 3)
+    masks: np.ndarray    # (n, H, W)
 
 
 def _reflect(p: int, lo: int, hi: int) -> int:
@@ -148,7 +156,8 @@ def _indexed_files(dirpath: Path, ext: str) -> dict:
 
 
 def load_dataset(root) -> list:
-    """All videos under root, sorted by id; masks binarized at 0.5.
+    """All videos under root, sorted by id: uint8 frames and bool masks,
+    a mask pixel True from level 128 up (read_pgm's 0.5).
 
     Raises DatasetError when the root is missing or empty, when a frame has
     no mask (or a mask no frame), or when frame shapes disagree.
@@ -175,8 +184,8 @@ def load_dataset(root) -> list:
         frames = []
         masks = []
         for i in idxs:
-            frames.append(read_ppm(frames_by_idx[i]))
-            masks.append((read_pgm(masks_by_idx[i]) >= 0.5).astype(np.float64))
+            frames.append(read_levels(frames_by_idx[i], b"P6"))
+            masks.append(read_levels(masks_by_idx[i], b"P5") >= 128)
             if frames[-1].shape != frames[0].shape:
                 raise DatasetError(f"video {vid}: frame {i:05d} shape {frames[-1].shape} "
                                    f"differs from {frames[0].shape}")

@@ -16,7 +16,8 @@ from salattn.model import (CHECKPOINT_MAGIC, CheckpointError, ModelConfig,
                            SaliencyModel, TrainSettings, load_checkpoint,
                            save_checkpoint, total_loss, train_step)
 from salattn.ops import bce_loss
-from salattn.synth import SynthConfig, generate_video
+from salattn.netpbm import read_pgm, read_ppm
+from salattn.synth import SynthConfig, generate_video, load_dataset, save_video
 from salattn.tensor import ShapeError
 
 
@@ -193,6 +194,48 @@ def test_train_step_bitwise_deterministic():
     assert rec_a.loss == rec_b.loss
     for k in pa:
         assert np.array_equal(pa[k], pb[k])
+
+
+def saved_videos(root, n_videos=2, n_frames=4, size=32):
+    videos = [generate_video(SynthConfig(video_id=f"v{i}", seed=30 + i, n_frames=n_frames,
+                                         height=size, width=size))
+              for i in range(n_videos)]
+    for v in videos:
+        save_video(root, v)
+    return load_dataset(root)
+
+
+def test_forward_scales_uint8_frames_as_read_ppm(tmp_path):
+    """A uint8 frame gives bitwise the saliency and features of read_ppm's
+    float frame from the same file."""
+    saved_videos(tmp_path)
+    m = SaliencyModel(seed=3)
+    for i in range(2):
+        frame = read_ppm(tmp_path / "v0" / "frames" / f"{i:05d}.ppm")
+        from_levels = m.forward(np.round(frame * 255.0).astype(np.uint8))
+        from_file = m.forward(frame)
+        assert np.array_equal(from_levels.saliency.data, from_file.saliency.data)
+        assert np.array_equal(from_levels.feat.data, from_file.feat.data)
+
+
+def test_train_step_same_bits_from_levels_and_floats(tmp_path):
+    """A step on load_dataset's uint8 frames and bool masks gives bitwise the
+    losses and parameters of a step on read_ppm floats and float masks; the
+    benchmark's SGD check feeds train_step the loaded arrays."""
+    videos = saved_videos(tmp_path)
+    levels = [(v.video_id, i, v.frames[i], v.masks[i]) for v in videos for i in range(4)]
+    assert levels[0][2].dtype == np.uint8 and levels[0][3].dtype == np.bool_
+    floats = [(v, i, read_ppm(tmp_path / v / "frames" / f"{i:05d}.ppm"),
+               (read_pgm(tmp_path / v / "masks" / f"{i:05d}.pgm") >= 0.5).astype(np.float64))
+              for v, i, _, _ in levels]
+    models = [SaliencyModel(seed=1), SaliencyModel(seed=1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateBatchWarning)
+        records = [train_step(m, batch, TrainSettings(lr=1e-3))
+                   for m, batch in zip(models, (levels, floats))]
+    assert records[0] == records[1]
+    for k, t in models[0].params.items():
+        assert np.array_equal(t.data, models[1].params[k].data)
 
 
 def test_train_step_traced_memory_peak():

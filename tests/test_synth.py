@@ -6,11 +6,14 @@ to the constants or the draw order fails loudly. The geometry checks pin the
 exact foreground pixel counts that the mask construction implies.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from salattn.netpbm import read_pgm, read_ppm
 from salattn.rng import SplitMix64, mix64
-from salattn.synth import (DatasetError, SynthConfig, generate_video,
+from salattn.synth import (DatasetError, SynthConfig, VideoSequence, generate_video,
                            load_dataset, save_video)
 
 _MASK = (1 << 64) - 1
@@ -191,8 +194,45 @@ def test_save_load_round_trip(tmp_path):
     assert [v.video_id for v in loaded] == ["vid0", "vid1"]
     for orig, back in zip(vids, loaded):
         assert back.frames.shape == orig.frames.shape
-        assert np.max(np.abs(back.frames - orig.frames)) <= 1.0 / 510.0
+        assert np.max(np.abs(back.frames / 255.0 - orig.frames)) <= 1.0 / 510.0
         assert np.array_equal(back.masks, orig.masks)
+        # Saving the loaded uint8 frames and bool masks rewrites the same files.
+        save_video(tmp_path / "again", back)
+        for f in (tmp_path / back.video_id).rglob("*.p?m"):
+            assert (tmp_path / "again" / f.relative_to(tmp_path)).read_bytes() == f.read_bytes()
+
+
+def test_load_dataset_keeps_file_levels(tmp_path):
+    """Frames stay the files' uint8 levels and masks are bool; scaled, they
+    are bitwise what read_ppm and read_pgm(...) >= 0.5 give. The mask file
+    holds all 256 grey levels, so the threshold is pinned at every level."""
+    v = generate_video(cfg_square(video_id="v0", n_frames=2, height=16, width=16))
+    save_video(tmp_path, v)
+    vdir = tmp_path / "v0"
+    (vdir / "masks" / "00001.pgm").write_bytes(b"P5\n16 16\n255\n" + bytes(range(256)))
+    (back,) = load_dataset(tmp_path)
+    assert back.frames.dtype == np.uint8 and back.masks.dtype == np.bool_
+    for i in range(2):
+        assert np.array_equal(back.frames[i] / 255.0, read_ppm(vdir / "frames" / f"{i:05d}.ppm"))
+        assert np.array_equal(back.masks[i], read_pgm(vdir / "masks" / f"{i:05d}.pgm") >= 0.5)
+    assert back.masks[1].sum() == 128
+
+
+def test_load_dataset_holds_file_sized_arrays(tmp_path):
+    """A default-size set (10 videos x 16 frames x 64x64) holds about its
+    2.5 MB of pixels: decoded to float64 it held 20 MB."""
+    frame = generate_video(cfg_square(video_id="v", n_frames=1, height=64, width=64))
+    for i in range(10):
+        save_video(tmp_path, VideoSequence(f"video{i:02d}", np.repeat(frame.frames, 16, axis=0),
+                                           np.repeat(frame.masks, 16, axis=0)))
+    tracemalloc.start()
+    try:
+        videos = load_dataset(tmp_path)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(v.frames.shape[0] for v in videos) == 160
+    assert held < 4e6
 
 
 def test_load_dataset_missing_root(tmp_path):
