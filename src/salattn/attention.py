@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .ops import conv2d, depthwise_conv2d, mean_hw, softmax_rows
+from .ops import attend, conv2d, depthwise_conv2d, mean_hw
 from .tensor import ShapeError, Tensor
 
 _VARIANTS = ("naive", "lightweight_unordered", "lightweight_reordered")
@@ -159,7 +159,10 @@ def coattention(v: Tensor, x: Tensor, params: CoAttentionParams) -> Tensor:
     """Attend from resized early features v' over late positions of x.
 
     A = v' W x^T row-softmaxed, z = softmax(A) x. Output rows are convex
-    combinations of x positions, matching x's shape.
+    combinations of x positions, matching x's shape. The affinity, softmax
+    and weighted sum are one op, ops.attend, which takes them a block of
+    rows at a time, so the (n, n) affinity (1024 x 1024 at a 256x256 frame)
+    never exists whole.
     """
     if v.rank != 3 or x.rank != 3:
         raise ShapeError("coattention needs (h,w,c) inputs")
@@ -174,8 +177,7 @@ def coattention(v: Tensor, x: Tensor, params: CoAttentionParams) -> Tensor:
     n = hx * wx
     vf = T.reshape(vres, (n, c))
     xf = T.reshape(x, (n, c))
-    aff = T.matmul(T.matmul(vf, params.affinity), T.transpose(xf))   # (n, n)
-    z = T.matmul(softmax_rows(aff), xf)
+    z = attend(T.matmul(vf, params.affinity), xf)
     return T.reshape(z, (hx, wx, c))
 
 

@@ -194,7 +194,7 @@ _OP_CASES = [
     ("sigmoid", _uniform(T.sigmoid, (4, 4), lo=-3.0, hi=3.0)),
     ("logsumexp", _uniform(T.logsumexp, (9,), lo=-2.0, hi=2.0)),
     ("l2_normalize", _case_l2_normalize),
-    ("softmax_rows", _uniform(ops.softmax_rows, (4, 5), lo=-2.0, hi=2.0)),
+    ("attend", _uniform(ops.attend, (4, 3), (5, 3), lo=-2.0, hi=2.0)),
     ("conv2d", _uniform(lambda x, k, b: ops.conv2d(x, k, b, stride=1),
                         (5, 5, 3), (3, 3, 3, 4), (4,))),
     ("conv2d_stride2", _uniform(lambda x, k, b: ops.conv2d(x, k, b, stride=2),

@@ -2,9 +2,13 @@
 
 Convolutions use odd kernels with symmetric zero padding of (k-1)//2 per
 side, so spatial extent maps as ceil(h/stride) for the strides used here.
-Forward passes are strided-view im2col plus one matmul; a constant input gets no dx.
-On a tape an op keeps its inputs and output, not its scratch: conv2d rebuilds
-its patch matrix in backward rather than keep it between the passes.
+No forward builds a whole patch or affinity matrix: conv2d copies its
+strided input windows a band of output rows at a time into one reused
+buffer and matmuls each band into the output, and attend takes its
+affinity and row softmax a block of rows at a time. Either scratch holds at
+most _BLOCK_ELEMS floats; a constant input gets no dx. On a tape an op
+keeps its inputs and output, not its scratch: backward rebuilds the whole
+patch matrix or softmax once from the kept inputs.
 """
 
 from __future__ import annotations
@@ -16,27 +20,55 @@ import numpy as np
 from .tensor import ShapeError, Tensor, _trace
 
 BCE_EPS = 1e-7
+_BLOCK_ELEMS = 1 << 17   # float64 elements (1 MB) of one forward band or block
 
 
 class EmptyRegionError(ValueError):
     """A pooling region contains no pixels."""
 
 
-def softmax_rows(m: Tensor) -> Tensor:
-    """Row-wise softmax of a rank-2 tensor, max-shifted per row."""
-    if m.rank != 2:
-        raise ShapeError(f"softmax_rows needs rank 2, got {m.shape}")
-    d = m.data
-    s = d - d.max(axis=1, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=1, keepdims=True)
+def _rows_per_block(n_rows: int, row_elems: int) -> int:
+    """Rows of row_elems floats that fit one _BLOCK_ELEMS block: at least
+    one, at most n_rows."""
+    return max(1, min(n_rows, _BLOCK_ELEMS // row_elems))
+
+
+def _softmax_rows_into(q: np.ndarray, xt: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Row softmax of q @ xt, max-shifted per row, computed in out."""
+    np.matmul(q, xt, out=out)
+    out -= out.max(axis=1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=1, keepdims=True)
+    return out
+
+
+def attend(q: Tensor, x: Tensor) -> Tensor:
+    """Softmax attention: row softmax of q x^T, times x; (n,c), (m,c) -> (n,c).
+
+    Output rows are convex combinations of the rows of x. The forward runs
+    in blocks of rows, so the (n, m) affinity never exists whole.
+    """
+    if q.rank != 2 or x.rank != 2 or q.shape[1] != x.shape[1]:
+        raise ShapeError(f"attend needs (n,c) and (m,c) operands, got {q.shape}, {x.shape}")
+    qd, xd = q.data, x.data
+    n, m = qd.shape[0], xd.shape[0]
+    xt = xd.T.copy()
+    out = np.empty(qd.shape)
+    rows = _rows_per_block(n, m)
+    buf = np.empty((rows, m))
+    for r0 in range(0, n, rows):
+        s = _softmax_rows_into(qd[r0:r0 + rows], xt, buf[:min(rows, n - r0)])
+        np.matmul(s, xd, out=out[r0:r0 + rows])
 
     def backward(g):
-        # ds_ij = s_ij * (g_ij - sum_k g_ik s_ik)
-        inner = (g * s).sum(axis=1, keepdims=True)
-        return (s * (g - inner),)
+        # The softmax is rebuilt, not kept: it is n x m.
+        s = _softmax_rows_into(qd, xt, np.empty((n, m)))
+        ds = g @ xd.T
+        # da_ij = s_ij * (ds_ij - sum_k ds_ik s_ik)
+        da = s * (ds - (ds * s).sum(axis=1, keepdims=True))
+        return (da @ xt.T, s.T @ g + (qd.T @ da).T)
 
-    return _trace(s, (m,), backward)
+    return _trace(out, (q, x), backward)
 
 
 def _conv_geometry(h: int, w: int, kh: int, kw: int, stride: int):
@@ -50,10 +82,9 @@ def _conv_geometry(h: int, w: int, kh: int, kw: int, stride: int):
     return ph, pw, oh, ow
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
-    """(h, w, c) input -> (oh*ow, kh*kw*c) patch matrix of its zero-padded
-    copy: a read-only strided window view, copied once by the reshape
-    (1x1 stride 1: no copy at all)."""
+def _windows(x: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
+    """(oh, ow, kh, kw, c) read-only strided window view of the (h, w, c)
+    input zero-padded by (k-1)//2 per side."""
     ph, pw = (kh - 1) // 2, (kw - 1) // 2
     xp = x
     if ph or pw:
@@ -63,7 +94,13 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> n
     s0, s1, s2 = xp.strides
     return np.lib.stride_tricks.as_strided(
         xp, (oh, ow, kh, kw, xp.shape[2]), (s0 * stride, s1 * stride, s0, s1, s2),
-        writeable=False).reshape(oh * ow, -1)
+        writeable=False)
+
+
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
+    """(h, w, c) input -> (oh*ow, kh*kw*c) patch matrix: the window view
+    copied once by the reshape (1x1 stride 1: no copy at all)."""
+    return _windows(x, kh, kw, stride, oh, ow).reshape(oh * ow, -1)
 
 
 def _col2im(dcols: np.ndarray, hp: int, wp: int, c: int, kh: int, kw: int,
@@ -95,11 +132,22 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, stride: int = 
     ph, pw, oh, ow = _conv_geometry(h, w, kh, kw, stride)
 
     xd = x.data
-    wmat = kernel.data.reshape(kh * kw * cin, cout)
-    out_flat = _im2col(xd, kh, kw, stride, oh, ow) @ wmat
+    k = kh * kw * cin
+    wmat = kernel.data.reshape(k, cout)
+    out = np.empty((oh, ow, cout))
+    out_flat = out.reshape(oh * ow, cout)
+    if kh == kw == stride == 1:   # the input is its own patch matrix
+        np.matmul(xd.reshape(oh * ow, cin), wmat, out=out_flat)
+    else:
+        win = _windows(xd, kh, kw, stride, oh, ow)
+        rows = _rows_per_block(oh, ow * k)
+        buf = np.empty((rows * ow, k))
+        for r0 in range(0, oh, rows):
+            band = buf[:min(rows, oh - r0) * ow]
+            band.reshape(-1, ow, kh, kw, cin)[...] = win[r0:r0 + rows]
+            np.matmul(band, wmat, out=out_flat[r0 * ow:r0 * ow + len(band)])
     if bias is not None:
-        out_flat = out_flat + bias.data
-    out = out_flat.reshape(oh, ow, cout)
+        out_flat += bias.data
 
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
     x_needs_grad = x.requires_grad

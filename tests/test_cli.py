@@ -662,6 +662,31 @@ def test_perfbench_tracer_runs_train(tmp_path):
         assert kind in summary["bwd_ms"]
 
 
+def test_perfbench_tracer_runs_infer_256(tmp_path):
+    """A traced 2-frame 256x256 `infer` exits 0 and its summary holds the
+    3x3 conv forward and co-attention spans: the tracer still finds
+    ops.conv2d by name and calls it as (x, kernel, bias, stride)."""
+    save_checkpoint(tmp_path / "model.ckpt", SaliencyModel(ModelConfig(), seed=1))
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    rng = np.random.default_rng(17)
+    for i in range(2):
+        write_ppm(frames / f"{i:05d}.ppm", rng.random((256, 256, 3)))
+    cfg = write_cfg(tmp_path / "infer.cfg", checkpoint_path=tmp_path / "model.ckpt",
+                    output_dir=tmp_path / "pred")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "trace_main.py"), str(tmp_path / "trace.json"),
+         "infer", "--config", cfg, "--frames", str(frames)],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads((tmp_path / "trace.json").read_text())["spans"]
+    assert len(spans["model.forward"]["incl_ms"]) == 2
+    assert len(spans["attention.coattention"]["incl_ms"]) == 2
+    assert len(spans["ops.conv3x3_fwd"]["incl_ms"]) == 2 * 7
+    assert len(list((tmp_path / "pred").glob("*.pgm"))) == 2
+
+
 SGD_CHECK = """
 import json, sys
 sys.path.insert(0, sys.argv[1])

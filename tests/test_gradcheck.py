@@ -82,7 +82,7 @@ def test_suite_all_rows_pass():
     assert [r.name for r in rows] == [
         "add", "sub", "mul", "scale", "matmul", "matvec", "transpose", "reshape",
         "concat", "stack_rows", "sum_all", "relu", "sigmoid", "logsumexp",
-        "l2_normalize", "softmax_rows", "conv2d", "conv2d_stride2", "conv2d_1x1",
+        "l2_normalize", "attend", "conv2d", "conv2d_stride2", "conv2d_1x1",
         "conv2d_stride4", "depthwise_conv2d", "mean_hw", "masked_avg_pool",
         "bilinear_upsample_x2", "bce_loss", "lightweight_nonlocal", "self_attention_block",
         "coattention", "gate", "infonce_loss", "composed_model"]

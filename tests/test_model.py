@@ -256,6 +256,23 @@ def test_train_step_traced_memory_peak():
     assert peak < 30e6
 
 
+def test_forward_256_traced_memory_peak():
+    """One untaped 256x256 forward peaks below 18 MB above its starting
+    memory (about 13 MB): conv patches are copied a band of rows at a time
+    and the co-attention takes its 1024x1024 affinity a block of rows at a
+    time. Building the whole patch matrices and affinity peaked at 27 MB."""
+    m = SaliencyModel(seed=1)
+    frame = np.random.default_rng(3).integers(0, 256, (256, 256, 3), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        m.forward(frame)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 18e6
+
+
 def test_overfit_single_minibatch_decreases_bce():
     """50 repeated steps on one minibatch must cut BCE by at least 10%.
 

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from salattn import ops
 from salattn import tensor as T
-from salattn.ops import (EmptyRegionError, _im2col, _up2_matrix, bce_loss,
+from salattn.model import SaliencyModel
+from salattn.ops import (EmptyRegionError, _im2col, _up2_matrix, attend, bce_loss,
                          bilinear_upsample_x2, conv2d, depthwise_conv2d,
-                         masked_avg_pool, mean_hw, softmax_rows)
+                         masked_avg_pool, mean_hw)
 from salattn.tensor import GradTape, ShapeError
 
 
@@ -29,8 +31,33 @@ def conv_reference(x, k, bias=None, stride=1):
     return out
 
 
+def attend_reference(q, x):
+    """Whole-matrix softmax_rows(q x^T) x."""
+    a = q @ x.T
+    e = np.exp(a - a.max(axis=1, keepdims=True))
+    return (e / e.sum(axis=1, keepdims=True)) @ x
+
+
+def record_blocks(monkeypatch):
+    """Spy on ops._rows_per_block: a list that collects (n_rows, row_elems,
+    rows per block) of every banded conv and attend call."""
+    calls, inner = [], ops._rows_per_block
+
+    def spy(n_rows, row_elems):
+        rows = inner(n_rows, row_elems)
+        calls.append((n_rows, row_elems, rows))
+        return rows
+
+    monkeypatch.setattr(ops, "_rows_per_block", spy)
+    return calls
+
+
 # ---------------------------------------------------------------------------
-# softmax_rows
+# attend: row softmax (with x the identity, q x^T = q and s x = s exactly)
+
+
+def softmax_rows(m):
+    return attend(m, T.constant(np.eye(m.shape[1])))
 
 
 def test_softmax_uniform_row():
@@ -79,6 +106,79 @@ def test_softmax_gradient_full_jacobian():
     assert np.max(np.abs(dm - ref)) <= 1e-13
 
 
+@pytest.mark.parametrize("side", [8, 17, 25, 32])
+def test_attend_blocked_forward_matches_whole_matrix(side, monkeypatch):
+    """Grids of 64 to 1024 positions at the model's width 32, at the default
+    _BLOCK_ELEMS (one block up to 512 positions, then several) and cut to 7
+    rows per block, which leaves a partial last block on every grid. A
+    block's q x^T matmul may round in other last bits than the whole
+    matrix's (BLAS picks its kernel by row count), hence 1e-12 relative."""
+    n = side * side
+    rng = np.random.default_rng(71 + side)
+    q = rng.standard_normal((n, 32)) * 0.3
+    x = np.abs(rng.standard_normal((n, 32)))
+    ref = attend_reference(q, x)
+    calls = record_blocks(monkeypatch)
+    for block in (ops._BLOCK_ELEMS, 7 * n):
+        monkeypatch.setattr(ops, "_BLOCK_ELEMS", block)
+        out = attend(T.constant(q), T.constant(x)).data
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert [rows for _, _, rows in calls] == [min(n, (1 << 17) // n), 7]
+    assert n % 7 != 0
+
+
+def test_attend_one_block_is_the_unblocked_chain_bitwise():
+    """At the 64 positions of a 64x64 frame the forward is one block, and its
+    output and taped gradients are, bit for bit, those of the chain the
+    co-attention ran as separate taped ops: matmul(q, transpose(x)) with the
+    transpose copied, row softmax, matmul(s, x), each op's backward in
+    reverse order, and x's two gradient contributions summed."""
+    rng = np.random.default_rng(73)
+    qd = rng.standard_normal((64, 32))
+    xd = rng.standard_normal((64, 32))
+    g = rng.standard_normal((64, 32))
+    q, x = T.parameter(qd), T.parameter(xd)
+    with GradTape() as tape:
+        z = attend(q, x)
+        loss = T.sum_all(T.mul(T.constant(g), z))
+    dq, dx = tape.gradient(loss, [q, x])
+
+    xt = xd.T.copy()
+    a = qd @ xt
+    s = a - a.max(axis=1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=1, keepdims=True)
+    assert np.array_equal(z.data, s @ xd)
+    ds, dx_sum = g @ xd.T, s.T @ g                  # matmul(s, x)
+    da = s * (ds - (ds * s).sum(axis=1, keepdims=True))   # row softmax
+    dq_ref, dxt = da @ xt.T, qd.T @ da              # matmul(q, xt)
+    assert np.array_equal(dq, dq_ref)
+    assert np.array_equal(dx, dx_sum + dxt.T)       # transpose(x)
+
+
+def test_attend_rejects_bad_shapes():
+    with pytest.raises(ShapeError):
+        attend(T.constant(np.zeros((4, 3))), T.constant(np.zeros((5, 2))))
+    with pytest.raises(ShapeError):
+        attend(T.constant(np.zeros((4, 3, 1))), T.constant(np.zeros((5, 3))))
+
+
+def test_default_model_at_64x64_runs_one_band_and_block(monkeypatch):
+    """Every patch-copying conv of the default model (enc1-4, the co-attention
+    resize, head1-2) and the co-attention's attend run as one band or block
+    on a 64x64 frame, taped or not; so training makes the same BLAS calls as
+    a whole-matrix forward, and its bits cannot move with _BLOCK_ELEMS."""
+    calls = record_blocks(monkeypatch)
+    m = SaliencyModel(seed=1)
+    frame = np.random.default_rng(75).random((64, 64, 3))
+    m.forward(frame)
+    with GradTape():
+        m.forward(frame)
+    assert len(calls) == 16
+    assert all(rows == n for n, _, rows in calls)
+    assert calls.count((64, 64, 64)) == 2   # attend at n = 64, rows of 64
+
+
 # ---------------------------------------------------------------------------
 # conv2d
 
@@ -111,20 +211,35 @@ def test_conv_box_filter_on_constant():
     assert abs(out[0, 2, 0] - 5.0 * 6.0 / 9.0) <= 1e-12
 
 
-def test_conv_random_against_sliding_window():
+def test_conv_random_against_sliding_window(monkeypatch):
     """Kernels 1 and 3 at strides 1, 2 and 4 (co-attention's resize), with
-    bias, on even and odd extents."""
+    bias, on even and odd extents; first at the default _BLOCK_ELEMS, one
+    band each, then with it cut to two output rows of patches (one where
+    the output has two rows), so every conv that copies patches runs in
+    several bands, those of odd output height with a partial last band. A
+    1x1 stride-1 conv is one matmul on its input either way."""
     rng = np.random.default_rng(63)
-    for k_side in (1, 3):
-        for stride in (1, 2, 4):
-            for h, w in ((6, 8), (7, 5), (9, 9)):
-                x = rng.standard_normal((h, w, 3))
-                k = rng.standard_normal((k_side, k_side, 3, 4))
-                b = rng.standard_normal(4)
-                out = conv2d(T.constant(x), T.constant(k), T.constant(b), stride=stride).data
-                ref = conv_reference(x, k, b, stride)
-                assert out.shape == ref.shape == (-(-h // stride), -(-w // stride), 4)
-                assert np.max(np.abs(out - ref)) <= 1e-12
+    calls = record_blocks(monkeypatch)
+    for banded in (False, True):
+        calls.clear()
+        for k_side in (1, 3):
+            for stride in (1, 2, 4):
+                for h, w in ((6, 8), (7, 5), (9, 9)):
+                    x = rng.standard_normal((h, w, 3))
+                    k = rng.standard_normal((k_side, k_side, 3, 4))
+                    b = rng.standard_normal(4)
+                    oh, ow = -(-h // stride), -(-w // stride)
+                    if banded:
+                        monkeypatch.setattr(ops, "_BLOCK_ELEMS",
+                                            (2 if oh > 2 else 1) * ow * k_side * k_side * 3)
+                    out = conv2d(T.constant(x), T.constant(k), T.constant(b), stride=stride).data
+                    ref = conv_reference(x, k, b, stride)
+                    assert out.shape == ref.shape == (oh, ow, 4)
+                    assert np.max(np.abs(out - ref)) <= 1e-12
+        assert len(calls) == 15   # every case but the three 1x1 stride-1 ones
+        bands = [-(-n // rows) for n, _, rows in calls]
+        partial = sum(n % rows != 0 for n, _, rows in calls)
+        assert (min(bands), partial) == ((2, 8) if banded else (1, 0))
     assert conv2d(T.constant(rng.standard_normal((5, 7, 2))),
                   T.constant(rng.standard_normal((3, 3, 2, 2))), stride=2).shape == (3, 4, 2)
 
