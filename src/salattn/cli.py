@@ -6,7 +6,8 @@ after printing a single machine-parsable line to stderr of the form
 
     ERROR[category] message
 
-with category one of usage, config, dataset, io, checkpoint, numeric.
+with category one of usage, config, dataset, io, checkpoint, numeric,
+memory.
 A warning prints one line too, `WARNING[WarningClass] message`, with no
 source line.
 """
@@ -218,7 +219,7 @@ def cmd_eval(pred_dir, gt_dir, out_dir) -> int:
             if pred.shape != gt.shape:
                 raise CliError("dataset", f"frame {frame_id}: prediction shape {pred.shape} "
                                           f"differs from ground truth {gt.shape}")
-            yield frame_id, pred, (gt >= 0.5).astype(np.float64)
+            yield frame_id, pred, gt >= 0.5
 
     report = metrics.evaluate_frames(triples())
 
@@ -362,6 +363,9 @@ def main(argv=None) -> int:
         return 1
     except FloatingPointError as e:
         print(f"ERROR[numeric] {_one_line(e)}", file=sys.stderr)
+        return 1
+    except MemoryError as e:
+        print(f"ERROR[memory] {_one_line(e)}", file=sys.stderr)
         return 1
     finally:
         warnings.formatwarning = saved_format

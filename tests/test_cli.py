@@ -2,9 +2,9 @@
 
 Everything runs in-process through main(argv) so stdout/stderr and exit
 codes are observable with capsys; the final tests go through a real
-interpreter subprocess: the one-line warning format, a smoke test, the BLAS
-thread pin and its bitwise promise, a run under perfbench's tracer, and
-perfbench's SGD check on a loaded dataset. Small
+interpreter subprocess: the one-line warning format, a smoke test, the
+one-line memory error, the BLAS thread pin and its bitwise promise, runs
+under perfbench's tracer, and perfbench's SGD check on a loaded dataset. Small
 datasets (16x16 or 32x32, a few frames) keep the training-path tests fast.
 """
 
@@ -580,6 +580,20 @@ def test_cli_runs_in_subprocess():
     assert "multiply ratio naive/reordered" in proc.stdout
 
 
+def test_unallocatable_size_is_one_memory_error_line():
+    """`bench 100000 100000 64` asks for a 4.66 TiB input: one ERROR[memory]
+    line and exit 1, not a traceback. The child caps its own address space
+    at 4 GiB first, so the request fails at once even where the kernel would
+    overcommit it, and nothing is paged in."""
+    proc = run_python(["-c", "import resource, sys; "
+                             "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30)); "
+                             "from salattn.cli import main; sys.exit(main(sys.argv[1:]))",
+                       "bench", "100000", "100000", "64"])
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR[memory] "), proc.stderr
+
+
 ROOT = Path(__file__).resolve().parent.parent
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -685,6 +699,33 @@ def test_perfbench_tracer_runs_infer_256(tmp_path):
     assert len(spans["attention.coattention"]["incl_ms"]) == 2
     assert len(spans["ops.conv3x3_fwd"]["incl_ms"]) == 2 * 7
     assert len(list((tmp_path / "pred").glob("*.pgm"))) == 2
+
+
+def test_perfbench_tracer_runs_eval_256(tmp_path):
+    """A traced 2-frame 256x256 `eval` exits 0 and each of the five metric
+    spans appears once per frame: frame_metrics still calls the metric
+    functions by the module-level names the tracer swaps."""
+    rng = np.random.default_rng(19)
+    yy, xx = np.mgrid[:256, :256]
+    for d in ("pred", "gt"):
+        (tmp_path / d).mkdir()
+    for i in range(2):
+        mask = (yy - 100 - 20 * i) ** 2 + (xx - 128) ** 2 < 30 ** 2
+        write_pgm(tmp_path / "gt" / f"{i:05d}.pgm", mask.astype(np.float64))
+        write_pgm(tmp_path / "pred" / f"{i:05d}.pgm",
+                  np.clip(0.7 * mask + 0.3 * rng.random((256, 256)), 0.0, 1.0))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "trace_main.py"), str(tmp_path / "trace.json"),
+         "eval", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt"),
+         "--out", str(tmp_path / "scores")],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads((tmp_path / "trace.json").read_text())["spans"]
+    for name in ("metrics.max_f", "metrics.s_measure", "metrics.mae", "metrics.jaccard",
+                 "metrics.boundary_f"):
+        assert len(spans[name]["incl_ms"]) == 2, name
+    assert len((tmp_path / "scores" / "metrics.tsv").read_text().splitlines()) == 3
 
 
 SGD_CHECK = """

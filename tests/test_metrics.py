@@ -1,10 +1,13 @@
-"""Saliency metrics: closed-form cases, brute-force oracles, invariances."""
+"""Saliency metrics: closed-form cases, brute-force oracles, invariances,
+bitwise equality with the plain formulas, and a memory bound."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from salattn.metrics import (EvalReport, _dilate_chebyshev, boundary_f, boundary_pixels,
-                             default_boundary_tol, evaluate_frames,
+from salattn.metrics import (_dilate_chebyshev, _threshold_index, boundary_f,
+                             boundary_pixels, default_boundary_tol, evaluate_frames,
                              frame_metrics, jaccard, mae, max_f_measure,
                              s_measure)
 
@@ -357,13 +360,14 @@ def test_report_inverted_and_constant():
 def test_report_groups_by_video():
     g = square_mask()
     items = [("va/00000", g.copy(), g), ("va/00001", 1.0 - g, g), ("vb/00000", g.copy(), g)]
-    report = evaluate_frames(items)
-    per = report.per_video()
-    assert set(per) == {"va", "vb"}
-    assert per["vb"]["J"] == 1.0
-    assert abs(per["va"]["J"] - 0.5) <= 1e-15
-    text = report.table()
-    assert "overall" in text and "va" in text and "vb" in text
+    header, *rows = evaluate_frames(items).table().splitlines()
+    assert header.split() == ["group", "frames", "maxF", "S", "MAE", "J", "boundaryF"]
+    table = {row.split()[0]: row.split()[1:] for row in rows}
+    assert list(table) == ["va", "vb", "overall"]
+    assert [table[k][0] for k in table] == ["2", "1", "3"]
+    assert table["va"][4] == "0.500000"
+    assert table["vb"][4] == "1.000000"
+    assert table["overall"][4] == f"{2.0 / 3.0:.6f}"
 
 
 def test_report_empty_gt_excluded_from_maxf_only():
@@ -398,3 +402,214 @@ def test_frame_metrics_binarizes_at_half():
     assert fm.boundary_f == 1.0
     assert fm.max_f == 1.0
     assert abs(fm.mae - np.abs(soft - g).mean()) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# Bitwise oracles. Each metric is an exact rewrite of the plain formula
+# below: bool masks, an exact threshold index, no float copies of masks.
+# Every float reduction keeps its operands and order, so the values must be
+# equal with ==, not merely close.
+
+THRESHOLDS = np.arange(256, dtype=np.float64) / 255.0
+EPS = np.spacing(1)
+
+
+def test_threshold_index_matches_searchsorted():
+    rng = np.random.default_rng(401)
+    values = np.concatenate([
+        THRESHOLDS,
+        np.nextafter(THRESHOLDS, -np.inf),
+        np.nextafter(THRESHOLDS, np.inf),
+        [np.inf, -np.inf, np.nan, -0.0, -1e-300, -0.5 / 255, -1.0, -1e300,
+         1.0 + 1e-12, 255.0, 1e300],
+        rng.uniform(-0.2, 1.2, 2000),
+        rng.integers(0, 256, 2000) / 255.0,
+    ])
+    want = np.searchsorted(THRESHOLDS, values, side="right")
+    want[np.isnan(values)] = 0
+    assert np.array_equal(_threshold_index(values), want)
+    assert np.array_equal(_threshold_index(values[:4000].reshape(40, 100)),
+                          want[:4000].reshape(40, 100))
+
+
+def maxf_formula(pred, gt, beta2=0.3):
+    g = gt > 0.5
+    n_fg = int(g.sum())
+    idx = np.searchsorted(THRESHOLDS, pred, side="right")
+    idx[np.isnan(pred)] = 0
+    predicted = idx.size - np.cumsum(np.bincount(idx.ravel(), minlength=257))[:256]
+    tp = n_fg - np.cumsum(np.bincount(idx[g], minlength=257))[:256]
+    precision = np.divide(tp, predicted, out=np.zeros(256), where=predicted > 0)
+    recall = tp / n_fg
+    denom = beta2 * precision + recall
+    f = np.divide((1.0 + beta2) * precision * recall, denom,
+                  out=np.zeros(256), where=denom > 0)
+    return float(f.max())
+
+
+def object_score_formula(values):
+    x = float(np.mean(values))
+    sigma = float(np.std(values, ddof=1)) if values.size > 1 else 0.0
+    return 2.0 * x / (x * x + 1.0 + sigma + EPS)
+
+
+def ssim_block_formula(p, g):
+    n = p.size
+    if n <= 1:
+        return 1.0 if float(np.abs(p - g).sum()) == 0.0 else 0.0
+    x, y = float(p.mean()), float(g.mean())
+    sx = float(((p - x) ** 2).sum() / (n - 1))
+    sy = float(((g - y) ** 2).sum() / (n - 1))
+    sxy = float(((p - x) * (g - y)).sum() / (n - 1))
+    a = 4.0 * x * y * sxy
+    b = (x * x + y * y) * (sx + sy)
+    if a != 0.0:
+        return a / (b + EPS)
+    return 1.0 if b == 0.0 else 0.0
+
+
+def s_formula(pred, g, alpha=0.5):
+    y = float(g.mean())
+    if y == 0.0:
+        return float(np.clip(1.0 - pred.mean(), 0.0, 1.0))
+    if y == 1.0:
+        return float(np.clip(pred.mean(), 0.0, 1.0))
+    fg = pred * g
+    bg = (1.0 - pred) * (1.0 - g)
+    s_obj = (y * object_score_formula(fg[g == 1.0])
+             + (1.0 - y) * object_score_formula(bg[g == 0.0]))
+    h, w = g.shape
+    cy, cx = np.argwhere(g > 0.5).mean(axis=0).round().astype(int) + 1
+    weights, scores = [], []
+    for r0, r1, c0, c1 in ((0, cy, 0, cx), (0, cy, cx, w), (cy, h, 0, cx), (cy, h, cx, w)):
+        pb, gb = pred[r0:r1, c0:c1], g[r0:r1, c0:c1]
+        weights.append(pb.size / (h * w))
+        scores.append(ssim_block_formula(pb, gb) if pb.size else 0.0)
+    s_reg = float(np.dot(weights, scores))
+    return float(np.clip(alpha * s_obj + (1.0 - alpha) * s_reg, 0.0, 1.0))
+
+
+def mae_formula(pred, gt):
+    return float(np.abs(pred - gt).mean())
+
+
+def jaccard_formula(p, g):
+    p, g = p > 0.5, g > 0.5
+    union = int((p | g).sum())
+    return 1.0 if union == 0 else float((p & g).sum() / union)
+
+
+def dilate_formula(m, tol):
+    """A row pass, then the same pass over the transpose."""
+    for _ in range(2):
+        out = m.copy()
+        for d in range(1, min(tol, m.shape[0] - 1) + 1):
+            out[d:] |= m[:-d]
+            out[:-d] |= m[d:]
+        m = out.T
+    return m
+
+
+def boundary_f_formula(p, g):
+    tol = default_boundary_tol(*p.shape)
+    pb, gb = boundary_pixels(p > 0.5), boundary_pixels(g > 0.5)
+    np_b, ng_b = int(pb.sum()), int(gb.sum())
+    if np_b == 0 and ng_b == 0:
+        return 1.0
+    if np_b == 0 or ng_b == 0:
+        return 0.0
+    precision = float((pb & dilate_formula(gb, tol)).sum() / np_b)
+    recall = float((gb & dilate_formula(pb, tol)).sum() / ng_b)
+    if precision + recall == 0.0:
+        return 0.0
+    return 2.0 * precision * recall / (precision + recall)
+
+
+def oracle_cases():
+    """(pred, float gt) pairs: shapes 1x1 to 64x64 including 1xn and nx1;
+    random, empty, full and single-pixel ground truth; quantised,
+    unquantised and empty-at-0.5 predictions."""
+    rng = np.random.default_rng(409)
+    shapes = [(1, 1), (1, 2), (2, 1), (1, 9), (13, 1), (1, 64), (64, 1), (2, 2),
+              (3, 7), (64, 64)]
+    shapes += [tuple(int(n) for n in rng.integers(1, 65, size=2)) for _ in range(14)]
+    for h, w in shapes:
+        single = np.zeros((h, w))
+        single.reshape(-1)[rng.integers(h * w)] = 1.0
+        gts = [(rng.random((h, w)) < rng.uniform(0.1, 0.7)).astype(np.float64),
+               np.zeros((h, w)), np.ones((h, w)), single]
+        for gt in gts:
+            yield rng.integers(0, 256, size=(h, w)) / 255.0, gt
+            yield rng.random((h, w)), gt
+            yield 0.49 * rng.random((h, w)), gt
+
+
+ORACLES = {
+    "max_f": (max_f_measure, maxf_formula, False),
+    "s": (s_measure, s_formula, False),
+    "mae": (mae, mae_formula, False),
+    "jaccard": (jaccard, jaccard_formula, True),
+    "boundary_f": (boundary_f, boundary_f_formula, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES))
+def test_metric_equals_plain_formula_bitwise(name):
+    """Float 0/1 and bool masks both give the plain formula's value."""
+    fn, formula, binarized = ORACLES[name]
+    n = 0
+    for pred, gt in oracle_cases():
+        if name == "max_f" and not gt.any():
+            continue
+        if binarized:
+            pred = (pred >= 0.5).astype(np.float64)
+        want = formula(pred, gt)
+        assert fn(pred, gt) == want, (name, pred.shape)
+        assert fn(pred > 0.5 if binarized else pred, gt > 0.5) == want, (name, pred.shape)
+        n += 1
+    assert n >= 200
+
+
+def test_frame_metrics_equals_plain_formulas_bitwise():
+    for pred, gt in oracle_cases():
+        p = (pred >= 0.5).astype(np.float64)
+        want = (maxf_formula(pred, gt) if gt.any() else None, s_formula(pred, gt),
+                mae_formula(pred, gt), jaccard_formula(p, gt), boundary_f_formula(p, gt))
+        for g in (gt, gt > 0.5):
+            fm = frame_metrics(pred, g)
+            got = (None if np.isnan(fm.max_f) else fm.max_f, fm.s, fm.mae, fm.jaccard,
+                   fm.boundary_f)
+            assert got == want, pred.shape
+
+
+def test_dilation_equals_transpose_formula():
+    rng = np.random.default_rng(419)
+    for h, w in [(1, 1), (1, 20), (20, 1), (5, 9), (33, 17), (64, 64)]:
+        for tol in (1, 2, 5, 70):
+            m = rng.random((h, w)) < 0.1
+            assert np.array_equal(_dilate_chebyshev(m, tol), dilate_formula(m, tol))
+
+
+# ---------------------------------------------------------------------------
+# memory
+
+
+def test_frame_metrics_256_peak_memory():
+    """One 256x256 frame scores with a traced peak under 1.5 MB, less than
+    three float maps: no float copy of either mask and few full-size
+    temporaries (the plain formulas peaked at 2.5 MB). The corner object
+    makes one S-measure quadrant nearly the whole frame."""
+    rng = np.random.default_rng(421)
+    yy, xx = np.mgrid[:256, :256]
+    for gt in ((yy - 120) ** 2 + (xx - 136) ** 2 < 13 ** 2,
+               (yy < 20) & (xx < 20),
+               (yy > 5) | (xx > 5)):
+        pred = np.clip(np.where(gt, 0.8, 0.1) + 0.2 * rng.random((256, 256)), 0.0, 1.0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            frame_metrics(pred, gt)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6, peak
