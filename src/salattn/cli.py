@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
 import time
+import traceback
 import warnings
 from pathlib import Path
 
@@ -35,8 +37,8 @@ from . import attention, metrics
 from .config import ConfigError, RunConfig, load_config
 from .model import (CheckpointError, ModelConfig, SaliencyModel, TrainSettings,
                     load_checkpoint, save_checkpoint, train_step)
-from .netpbm import (NetpbmError, atomic_write_text, ppm_shape, read_pgm, read_ppm,
-                     write_pgm)
+from .netpbm import (NetpbmError, atomic_write_text, ppm_shape, read_levels, read_pgm,
+                     read_ppm, write_pgm)
 from .rng import SplitMix64, mix64
 from .synth import DatasetError, SynthConfig, generate_video, load_dataset, save_video
 
@@ -168,21 +170,92 @@ def cmd_infer(cfg: RunConfig, checkpoint, frames_dir) -> int:
     # fails with no map written; then hold one frame at a time.
     shapes = [ppm_shape(fdir / n) for n in names]
     shape0 = shapes[0]
-    for n, shape in zip(names, shapes):
+    for name, shape in zip(names, shapes):
         if shape != shape0:
-            raise CliError("dataset", f"frame {n} shape {shape} differs from {shape0}")
+            raise CliError("dataset", f"frame {name} shape {shape} differs from {shape0}")
     if shape0[0] % 8 or shape0[1] % 8:
         raise CliError("dataset", f"frame extents must be divisible by 8, "
                                   f"got {shape0[0]}x{shape0[1]}")
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for name in names:
-        # No name binds the frame or its map: one kept alive through the next
-        # frame's forward raised this loop's peak RSS by about 2.5 MB at 256x256.
-        write_pgm(out / (Path(name).stem + ".pgm"),
-                  model.forward(read_ppm(fdir / name)).saliency.data)
-    print(f"wrote {len(names)} saliency maps to {out}")
+    # Each map depends only on its frame, so n processes split the frames,
+    # one per usable CPU and per 2^17 pixels of the call: below that, the
+    # copy-on-write faults of a fork cost more than the split saves.
+    cpus = sorted(os.sched_getaffinity(0))
+    n = max(1, min(len(names), len(cpus), shape0[0] * shape0[1] * len(names) >> 17))
+
+    def run(i):
+        if n > 1:
+            # A fresh fork shares its parent's CPU for its first 0.1-0.3 s;
+            # start each process on its own, then allow every CPU again.
+            os.sched_setaffinity(0, {cpus[i]})
+            os.sched_setaffinity(0, cpus)
+        for name in names[i::n]:
+            # No name binds the frame or its map: one kept alive through the next
+            # frame's forward raised this loop's peak RSS by about 2.5 MB at 256x256.
+            write_pgm(out / (Path(name).stem + ".pgm"),
+                      model.forward(read_ppm(fdir / name)).saliency.data)
+
+    workers = []
+    try:
+        for i in range(1, n):
+            workers.append(_fork_worker(run, i))
+        run(0)
+    except BaseException:
+        for pid, _ in workers:
+            os.kill(pid, signal.SIGTERM)
+        raise
+    finally:
+        ends = [_reap(*w) for w in workers]
+    for code, report in ends:
+        if code:
+            category, _, message = report.partition("\n")
+            if category:
+                raise CliError(category, message)
+            if message:   # an exception main would not catch either
+                raise RuntimeError(f"infer worker failed:\n{message}")
+            raise ChildProcessError(f"infer worker ended with exit status {code} "
+                                    "and no report")
+    print(f"wrote {len(names)} saliency maps to {out} "
+          f"({n} process{'es' if n > 1 else ''})")
     return 0
+
+
+def _fork_worker(run, i) -> tuple[int, int]:
+    """Fork a process that calls run(i) and leaves only by os._exit, so it
+    runs no caller's cleanup and flushes no inherited buffer. Returns its
+    pid and the read end of a pipe that carries its failure, if any, as
+    "category\\nmessage" (category empty for an exception main would not
+    catch, with the traceback as message)."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid:
+        os.close(w)
+        return pid, r
+    code = 1
+    try:
+        os.close(r)
+        run(i)
+        code = 0
+    except BaseException as e:   # the process boundary: report, then exit below
+        category = _category(e)
+        report = f"{category}\n{_one_line(e)}" if category else "\n" + traceback.format_exc()
+        os.write(w, report.encode())
+    finally:
+        os.close(w)
+        os._exit(code)
+
+
+def _reap(pid: int, r: int) -> tuple[int, str]:
+    """Read a worker's report to its end, then wait for it: (exit code, report)."""
+    with open(r, "rb") as pipe:
+        report = pipe.read().decode(errors="replace")
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), report
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +288,13 @@ def cmd_eval(pred_dir, gt_dir, out_dir) -> int:
 
     def triples():   # one pred/gt pair in memory at a time
         for frame_id in sorted(preds):
-            pred, gt = read_pgm(preds[frame_id]), read_pgm(gts[frame_id])
+            # Level >= 128 is read_pgm(...) >= 0.5 at every level, without
+            # the float map.
+            pred, gt = read_pgm(preds[frame_id]), read_levels(gts[frame_id], b"P5") >= 128
             if pred.shape != gt.shape:
                 raise CliError("dataset", f"frame {frame_id}: prediction shape {pred.shape} "
                                           f"differs from ground truth {gt.shape}")
-            yield frame_id, pred, gt >= 0.5
+            yield frame_id, pred, gt
 
     report = metrics.evaluate_frames(triples())
 
@@ -343,32 +418,29 @@ def main(argv=None) -> int:
         if args.command == "gradcheck":
             return cmd_gradcheck()
         raise CliError("usage", f"unknown command {args.command!r}")
-    except CliError as e:
-        print(f"ERROR[{e.category}] {_one_line(e)}", file=sys.stderr)
-        return 2 if e.category == "usage" else 1
-    except ConfigError as e:
-        print(f"ERROR[config] {_one_line(e)}", file=sys.stderr)
-        return 1
-    except DatasetError as e:
-        print(f"ERROR[dataset] {_one_line(e)}", file=sys.stderr)
-        return 1
-    except CheckpointError as e:
-        print(f"ERROR[checkpoint] {_one_line(e)}", file=sys.stderr)
-        return 1
-    except NetpbmError as e:
-        print(f"ERROR[io] {_one_line(e)}", file=sys.stderr)
-        return 1
-    except OSError as e:
-        print(f"ERROR[io] {_one_line(e)}", file=sys.stderr)
-        return 1
-    except FloatingPointError as e:
-        print(f"ERROR[numeric] {_one_line(e)}", file=sys.stderr)
-        return 1
-    except MemoryError as e:
-        print(f"ERROR[memory] {_one_line(e)}", file=sys.stderr)
-        return 1
+    except Exception as e:
+        category = _category(e)
+        if category is None:
+            raise
+        print(f"ERROR[{category}] {_one_line(e)}", file=sys.stderr)
+        return 2 if category == "usage" else 1
     finally:
         warnings.formatwarning = saved_format
+
+
+# Each exception type the CLI reports, with its ERROR[...] category; the
+# first match wins.
+_CATEGORIES = ((ConfigError, "config"), (DatasetError, "dataset"),
+               (CheckpointError, "checkpoint"), ((NetpbmError, OSError), "io"),
+               (FloatingPointError, "numeric"), (MemoryError, "memory"))
+
+
+def _category(e: BaseException) -> str | None:
+    """The ERROR[...] category of an exception, or None for one the CLI
+    does not catch."""
+    if isinstance(e, CliError):
+        return e.category
+    return next((c for t, c in _CATEGORIES if isinstance(e, t)), None)
 
 
 def _one_line(e: Exception) -> str:

@@ -3,14 +3,16 @@
 Everything runs in-process through main(argv) so stdout/stderr and exit
 codes are observable with capsys; the final tests go through a real
 interpreter subprocess: the one-line warning format, a smoke test, the
-one-line memory error, the BLAS thread pin and its bitwise promise, runs
-under perfbench's tracer, and perfbench's SGD check on a loaded dataset. Small
+one-line memory error, the BLAS thread pin and its bitwise promise,
+`infer`'s split over processes and its failures, runs under perfbench's
+tracer, and perfbench's SGD check on a loaded dataset. Small
 datasets (16x16 or 32x32, a few frames) keep the training-path tests fast.
 """
 
 import hashlib
 import json
 import os
+import signal
 import struct
 import subprocess
 import sys
@@ -21,11 +23,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from salattn import cli
 from salattn.cli import main
 from salattn.config import ConfigError, RunConfig, load_config, parse_config
 from salattn.contrastive import DegenerateBatchWarning
 from salattn.model import ModelConfig, SaliencyModel, load_checkpoint, save_checkpoint
-from salattn.netpbm import read_pgm, write_pgm, write_ppm
+from salattn.netpbm import read_pgm, read_ppm, write_pgm, write_ppm
 
 # ---------------------------------------------------------------------------
 # config parsing
@@ -652,6 +655,118 @@ def test_train_bitwise_identical_across_blas_threads(tmp_path):
         outputs.append(((tmp_path / f"model{threads}.ckpt").read_bytes(),
                         (tmp_path / f"out{threads}" / "loss_log.csv").read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+@pytest.fixture(scope="module")
+def clips(tmp_path_factory):
+    """A checkpoint whose maps are not flat grey (its zero-initialised logit
+    convs get random weights), a 16-frame 64x64 clip, a 4-frame 256x256
+    clip, and each clip's maps written frame by frame in this process."""
+    root = tmp_path_factory.mktemp("clips")
+    model = SaliencyModel(ModelConfig(), seed=3)
+    rng = np.random.default_rng(23)
+    for name in ("predict", "skip4", "skip2", "skip1"):
+        w = model.params[f"{name}.weight"].data
+        w[...] = rng.normal(0.0, 0.5, w.shape)
+    save_checkpoint(root / "model.ckpt", model)
+    want = {}
+    for size, n in ((64, 16), (256, 4)):
+        frames = root / f"frames{size}"
+        frames.mkdir()
+        for i in range(n):
+            frame = rng.random((size, size, 3))
+            write_ppm(frames / f"{i:05d}.ppm", frame)
+            write_pgm(root / "want.pgm", model.forward(read_ppm(frames / f"{i:05d}.ppm"))
+                      .saliency.data)
+            want[size, f"{i:05d}.pgm"] = (root / "want.pgm").read_bytes()
+    return root, want
+
+
+def run_infer(root, size, out, **popen):
+    """`python -m salattn.cli infer` of the `clips` clip of this size into
+    out: the finished Popen, its stdout and its stderr."""
+    cfg = write_cfg(out.with_suffix(".cfg"), checkpoint_path=root / "model.ckpt", output_dir=out)
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    with subprocess.Popen([sys.executable, "-m", "salattn.cli", "infer", "--config", cfg,
+                           "--frames", str(root / f"frames{size}")],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          env=dict(base, PYTHONPATH=str(ROOT / "src")), **popen) as proc:
+        try:
+            out, err = proc.communicate(timeout=300)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            raise
+    return proc, out, err
+
+
+def _one_cpu():
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+@pytest.mark.parametrize("size, restrict, processes", [
+    (64, None, 1),        # 16 x 64x64 = 2^16 pixels: below the 2^17 a fork needs
+    (256, None, 2),       # 4 x 256x256 = 2^18 pixels, one process per usable CPU
+    (256, _one_cpu, 1),   # the same clip with one usable CPU
+], ids=["64x64-16", "256x256-4", "256x256-4-one-cpu"])
+def test_infer_process_count(clips, tmp_path, size, restrict, processes):
+    """infer splits its frames over one process per 2^17 pixels, at most one
+    per usable CPU, names the count on its summary line, and every split
+    writes the maps of a frame-by-frame forward, byte for byte."""
+    if processes > 1 and len(os.sched_getaffinity(0)) < processes:
+        pytest.skip(f"needs {processes} usable CPUs")
+    root, want = clips
+    proc, out, err = run_infer(root, size, tmp_path / "pred", preexec_fn=restrict)
+    assert proc.returncode == 0, err
+    n, count = 16 if size == 64 else 4, f"{processes} process{'es' if processes > 1 else ''}"
+    assert out == f"wrote {n} saliency maps to {tmp_path / 'pred'} ({count})\n"
+    got = {(size, p.name): p.read_bytes() for p in sorted((tmp_path / "pred").iterdir())}
+    assert got == {k: v for k, v in want.items() if k[0] == size}
+
+
+@pytest.mark.parametrize("blocked", ["00001.pgm", "00000.pgm"], ids=["worker", "parent"])
+def test_infer_failure_in_either_process_is_one_error_line(clips, tmp_path, blocked):
+    """A directory at one frame's .pgm path fails that frame's write: in the
+    forked worker (frames 1 and 3) or in the parent (frames 0 and 2). Either
+    way the run prints one ERROR[io] line, exits 1 and leaves no process of
+    its session running."""
+    root, _ = clips
+    (tmp_path / "pred" / blocked).mkdir(parents=True)
+    proc, _, err = run_infer(root, 256, tmp_path / "pred", start_new_session=True)
+    assert proc.returncode == 1, err
+    assert one_error_line(err, "io"), err
+    assert blocked in err
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+
+
+@pytest.mark.parametrize("fault", ["killed", "bug"])
+def test_infer_worker_killed_or_failing_unexpectedly(clips, tmp_path, monkeypatch, capsys, fault):
+    """A worker killed before it can report is one ERROR[io] line naming its
+    exit status; an exception main does not catch reaches the caller as in
+    a one-process run, carrying the worker's traceback."""
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs 2 usable CPUs")
+    root, _ = clips
+    parent, write = os.getpid(), cli.write_pgm
+
+    def write_or_fail(path, img):
+        if os.getpid() != parent:
+            if fault == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise KeyError("no such level")
+        write(path, img)
+
+    monkeypatch.setattr(cli, "write_pgm", write_or_fail)
+    cfg = write_cfg(tmp_path / "infer.cfg", checkpoint_path=root / "model.ckpt",
+                    output_dir=tmp_path / "pred")
+    argv = ["infer", "--config", cfg, "--frames", str(root / "frames256")]
+    if fault == "killed":
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert one_error_line(err, "io") and f"exit status {-signal.SIGKILL}" in err, err
+    else:
+        with pytest.raises(RuntimeError, match=r"(?s)infer worker failed.*KeyError"):
+            main(argv)
 
 
 def test_perfbench_tracer_runs_train(tmp_path):
