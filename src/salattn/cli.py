@@ -240,6 +240,9 @@ def _fork_worker(run, i) -> tuple[int, int]:
     code = 1
     try:
         os.close(r)
+        # The parent stops its workers by SIGTERM when it fails; raised here,
+        # it lets a write in flight remove its temp file before the exit.
+        signal.signal(signal.SIGTERM, signal.default_int_handler)
         run(i)
         code = 0
     except BaseException as e:   # the process boundary: report, then exit below

@@ -6,9 +6,9 @@ error reported is max over coordinates of |a - f| / max(1, |a|, |f|), so
 tiny gradients are compared absolutely and large ones relatively.
 
 run_suite covers each differentiable operation at five seeded points on
-small shapes, plus the fully composed model (forward + BCE) checked on a
-random 20-coordinate parameter subset at a looser tolerance, since a dozen
-stacked nonlinear stages amplify finite-difference truncation error.
+small shapes, plus the fully composed model (forward + logit BCE) checked
+on a random 20-coordinate parameter subset at a looser tolerance, since a
+dozen stacked nonlinear stages amplify finite-difference truncation error.
 """
 
 from __future__ import annotations
@@ -120,8 +120,7 @@ def _case_masked_avg_pool(rng):
 
 def _case_bce_loss(rng):
     target = (rng.uniform(0, 1, (4, 4)) < 0.5).astype(np.float64)
-    pred = rng.uniform(0.05, 0.95, (4, 4))
-    return (lambda p: ops.bce_loss(p, target)), [T.parameter(pred)]
+    return (lambda z: ops.bce_loss(z, target)), [_t(rng, (4, 4), -3.0, 3.0)]
 
 
 def _case_self_attention_block(rng):
@@ -161,7 +160,7 @@ def _case_infonce_loss(rng):
 
 
 def _composed_model_case(seed: int):
-    """Forward + BCE on a 32x32 frame, checked on 20 parameter coordinates."""
+    """Forward + BCE on a 32x32 frame's logit, checked on 20 parameter coordinates."""
     m = model.SaliencyModel(seed=seed)
     rng = np.random.default_rng(seed)
     frame = rng.uniform(0.0, 1.0, (32, 32, 3))
@@ -169,7 +168,7 @@ def _composed_model_case(seed: int):
     inputs = list(m.params.values())
 
     def fn(ts):
-        return ops.bce_loss(m.forward(frame).saliency, target)
+        return ops.bce_loss(m.forward(frame).logit, target)
 
     coords = []
     for _ in range(20):

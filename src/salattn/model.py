@@ -28,6 +28,12 @@ from .ops import bce_loss, conv2d, bilinear_upsample_x2
 from .rng import SplitMix64
 from .tensor import GradTape, ShapeError, Tensor
 
+# A step whose global gradient norm exceeds this is scaled down to it. The
+# first step's norm is about 40 on a typical seed and at most about 1e4, so
+# ordinary steps are plain SGD; but on seeds whose head features start near
+# 1e5, SGD at lr 2e-3 otherwise reaches a non-finite loss within six steps.
+MAX_GRAD_NORM = 2e4
+
 
 class CheckpointError(ValueError):
     """Checkpoint file is malformed or does not match the model manifest."""
@@ -42,8 +48,9 @@ class ModelConfig:
 
 @dataclass
 class ForwardResult:
-    saliency: Tensor   # (H, W) in (0, 1)
+    saliency: Tensor   # (H, W) in (0, 1): sigmoid of logit
     feat: Tensor       # (H/8, W/8, c) head feature map
+    logit: Tensor      # (H, W) pre-sigmoid saliency, what bce_loss takes
 
 
 @dataclass
@@ -97,11 +104,10 @@ class SaliencyModel:
         weight("gate_co.weight", (1, 1, c, c), c);       bias("gate_co.bias", c)
         weight("head1.weight", (3, 3, 3 * c, c), 27 * c); bias("head1.bias", c)
         weight("head2.weight", (3, 3, c, c), 9 * c);     bias("head2.bias", c)
-        # The four logit-producing convs start at zero so the initial
-        # saliency is exactly 0.5 everywhere: no pixel can be born in the
-        # saturated tail of the sigmoid where gradients vanish. They move
-        # immediately (their inputs are nonzero), and the feature stack
-        # below them is trained by the contrastive term from step one.
+        # The four logit-producing convs start at zero, so the first saliency
+        # is 0.5 everywhere and the first BCE exactly ln 2 on any data. They
+        # move at once (their inputs are nonzero), and the contrastive term
+        # trains the feature stack below them from step one.
         zeros("predict.weight", (1, 1, c, 1));           bias("predict.bias", 1)
         zeros("skip4.weight", (1, 1, w3, 1));            bias("skip4.bias", 1)
         zeros("skip2.weight", (1, 1, w2, 1));            bias("skip2.bias", 1)
@@ -151,23 +157,23 @@ class SaliencyModel:
         for enc, name in ((e3, "skip4"), (e2, "skip2"), (e1, "skip1")):
             up = bilinear_upsample_x2(logit)
             logit = T.add(up, conv2d(enc, p[f"{name}.weight"], p[f"{name}.bias"], stride=1))
-        saliency = T.reshape(T.sigmoid(logit), (hh, ww))
-        return ForwardResult(saliency, feat)
+        logit = T.reshape(logit, (hh, ww))
+        return ForwardResult(T.sigmoid(logit), feat, logit)
 
 
-def total_loss(saliencies, targets, batches, tau: float):
-    """L = mean frame BCE + mean batch InfoNCE (zero when no batches).
+def total_loss(logits, targets, batches, tau: float):
+    """L = mean BCE of the frame logits + mean batch InfoNCE (zero when no batches).
 
     Returns (L, L_bce, L_cl) as scalar tensors, summed in fixed list order.
     """
-    saliencies = list(saliencies)
+    logits = list(logits)
     targets = list(targets)
-    if len(saliencies) != len(targets) or not saliencies:
+    if len(logits) != len(targets) or not logits:
         raise ValueError("need one target per saliency map")
-    acc = bce_loss(saliencies[0], targets[0])
-    for s, t in zip(saliencies[1:], targets[1:]):
-        acc = T.add(acc, bce_loss(s, t))
-    l_bce = T.scale(acc, 1.0 / len(saliencies))
+    acc = bce_loss(logits[0], targets[0])
+    for z, t in zip(logits[1:], targets[1:]):
+        acc = T.add(acc, bce_loss(z, t))
+    l_bce = T.scale(acc, 1.0 / len(logits))
 
     batches = list(batches)
     if batches:
@@ -183,18 +189,18 @@ def total_loss(saliencies, targets, batches, tau: float):
 def train_step(model: SaliencyModel, minibatch, settings: TrainSettings) -> LossRecord:
     """One SGD step over a list of (video_id, frame_idx, frame, mask) items.
 
-    Updates parameters in place (theta <- theta - lr * grad) and returns the
-    pre-update loss values. Non-finite loss aborts before any update, naming
-    the offending term.
+    Updates parameters in place (theta <- theta - lr * grad, grad scaled down
+    to MAX_GRAD_NORM if its norm is larger) and returns the pre-update loss
+    values. Non-finite loss aborts before any update, naming the offending term.
     """
     if not minibatch:
         raise ValueError("empty minibatch")
     params = list(model.params.values())
     with GradTape() as tape:
-        sals, targets, feats = [], [], []
+        logits, targets, feats = [], [], []
         for video_id, frame_idx, frame, mask in minibatch:
             r = model.forward(frame)
-            sals.append(r.saliency)
+            logits.append(r.logit)
             targets.append(mask)
             feats.append((video_id, frame_idx, r))
         batches = []
@@ -204,15 +210,17 @@ def train_step(model: SaliencyModel, minibatch, settings: TrainSettings) -> Loss
                 features.extend(extract_region_features(
                     r.feat, mask, r.saliency.data, video_id, frame_idx))
             batches = build_contrastive_batches(features, settings.k_pos, settings.k_neg)
-        loss, l_bce, l_cl = total_loss(sals, targets, batches, settings.tau)
+        loss, l_bce, l_cl = total_loss(logits, targets, batches, settings.tau)
 
     record = LossRecord(loss.item(), l_bce.item(), l_cl.item())
     for name, value in (("L_bce", record.bce), ("L_cl", record.contrastive), ("L", record.loss)):
         if not np.isfinite(value):
             raise FloatingPointError(f"non-finite loss term {name}")
     grads = tape.gradient(loss, params)
+    norm = math.sqrt(sum(float(np.vdot(g, g)) for g in grads))
+    lr = settings.lr if norm <= MAX_GRAD_NORM else settings.lr * MAX_GRAD_NORM / norm
     for p, g in zip(params, grads):
-        p.data -= settings.lr * g
+        p.data -= lr * g
     for name, p in model.params.items():
         if not np.all(np.isfinite(p.data)):
             raise FloatingPointError(f"non-finite parameter {name} after update")

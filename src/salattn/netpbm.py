@@ -11,6 +11,7 @@ Writes go through a temp file and an atomic rename.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 
@@ -33,9 +34,13 @@ def _quantize(path, a: np.ndarray) -> np.ndarray:
 
 def atomic_write_bytes(path, data: bytes) -> None:
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    finally:   # a failed write leaves no temp file; a replaced one is gone already
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
 
 
 def atomic_write_text(path, text: str) -> None:

@@ -19,7 +19,6 @@ import numpy as np
 
 from .tensor import ShapeError, Tensor, _trace
 
-BCE_EPS = 1e-7
 _BLOCK_ELEMS = 1 << 17   # float64 elements (1 MB) of one forward band or block
 
 
@@ -272,23 +271,18 @@ def bilinear_upsample_x2(x: Tensor) -> Tensor:
     return _trace(out, (x,), backward)
 
 
-def bce_loss(pred: Tensor, target: np.ndarray) -> Tensor:
-    """Mean binary cross-entropy over all pixels.
-
-    Predictions are clamped to [eps, 1-eps] before the logs; clamped pixels
-    get zero gradient. Targets are a constant array in [0, 1].
-    """
+def bce_loss(logit: Tensor, target: np.ndarray) -> Tensor:
+    """Mean binary cross-entropy of sigmoid(z) over all pixels, on the logit z:
+    mean(softplus(z) - t z), finite with gradient (sigmoid(z) - t) / n at any
+    z, however saturated. Targets t are a constant array in [0, 1]."""
     t = np.asarray(target, dtype=np.float64)
-    if t.shape != pred.shape:
-        raise ShapeError(f"bce_loss: target shape {t.shape} vs prediction {pred.shape}")
-    n = t.size
-    p = pred.data
-    pc = np.clip(p, BCE_EPS, 1.0 - BCE_EPS)
-    loss = float(np.mean(-t * np.log(pc) - (1.0 - t) * np.log1p(-pc)))
-    inside = (p > BCE_EPS) & (p < 1.0 - BCE_EPS)
+    if t.shape != logit.shape:
+        raise ShapeError(f"bce_loss: target shape {t.shape} vs logit {logit.shape}")
+    z = logit.data
+    softplus = np.logaddexp(0.0, z)
 
     def backward(g):
-        dp = np.where(inside, (pc - t) / (pc * (1.0 - pc)), 0.0)
-        return (float(g) * dp / n,)
+        # exp(z - softplus(z)) is sigmoid(z); its exponent is never positive.
+        return (float(g) * (np.exp(z - softplus) - t) / t.size,)
 
-    return _trace(np.asarray(loss), (pred,), backward)
+    return _trace(np.asarray(float(np.mean(softplus - t * z))), (logit,), backward)

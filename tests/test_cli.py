@@ -258,12 +258,45 @@ def test_train_creates_checkpoint_directory(tmp_path, monkeypatch):
     """A checkpoint path in a directory that does not exist yet gets its
     directory made, so the run keeps both its checkpoint and its loss log."""
     monkeypatch.chdir(tmp_path)
-    cfg = write_cfg("run.cfg", frames_per_video=4, batch_frames=4, steps=2,
+    cfg = write_cfg("run.cfg", frames_per_video=4, height=32, width=32, batch_frames=4, steps=2,
                     dataset_root="data", checkpoint_path="nodir/model.ckpt", output_dir="out")
     assert main(["synth", "--config", cfg]) == 0
     assert main(["train", "--config", cfg]) == 0
     load_checkpoint(tmp_path / "nodir" / "model.ckpt", SaliencyModel(ModelConfig(), seed=1))
     assert len((tmp_path / "out" / "loss_log.csv").read_text().splitlines()) == 3
+
+
+def test_train_every_seed_lowers_bce(tmp_path):
+    """Ten default steps (lr 1e-4) on four 64x64 videos bring L_bce below
+    its step-1 value of ln 2 on every one of 16 seeds: the loss is taken on
+    logits, so no pixel pushed to saturation by a step loses its gradient."""
+    last = {}
+    for seed in range(1, 17):
+        run = tmp_path / str(seed)
+        cfg = write_cfg(run.with_suffix(".cfg"), seed=seed, n_videos=4, frames_per_video=16,
+                        height=64, width=64, batch_frames=4, steps=10, dataset_root=run / "data",
+                        checkpoint_path=run / "model.ckpt", output_dir=run / "out")
+        assert main(["synth", "--config", cfg]) == 0
+        assert main(["train", "--config", cfg]) == 0
+        rows = (run / "out" / "loss_log.csv").read_text().splitlines()
+        assert rows[1].split(",")[2] == "0.69314718"
+        last[seed] = float(rows[-1].split(",")[2])
+    assert {s: b for s, b in last.items() if not b < np.log(2.0)} == {}
+
+
+def test_train_bounds_a_diverging_step(tmp_path):
+    """Seed 21107's head features start near 1e5. At lr 2e-3 plain SGD takes
+    its loss to a non-finite value within eight steps; with each step's
+    gradient norm bounded by MAX_GRAD_NORM, every logged loss is finite."""
+    cfg = write_cfg(tmp_path / "run.cfg", seed=21107, n_videos=2, frames_per_video=16,
+                    height=64, width=64, batch_frames=4, steps=8, lr=2e-3,
+                    dataset_root=tmp_path / "data", checkpoint_path=tmp_path / "model.ckpt",
+                    output_dir=tmp_path / "out")
+    assert main(["synth", "--config", cfg]) == 0
+    assert main(["train", "--config", cfg]) == 0
+    rows = (tmp_path / "out" / "loss_log.csv").read_text().splitlines()[1:]
+    assert len(rows) == 8
+    assert all(np.isfinite(float(v)) for row in rows for v in row.split(","))
 
 
 def test_train_validates_batch_against_dataset(mini, capsys):
@@ -735,6 +768,7 @@ def test_infer_failure_in_either_process_is_one_error_line(clips, tmp_path, bloc
     assert proc.returncode == 1, err
     assert one_error_line(err, "io"), err
     assert blocked in err
+    assert not list((tmp_path / "pred").glob("*.tmp.*"))   # the failed write's temp file too
     with pytest.raises(ProcessLookupError):
         os.killpg(proc.pid, 0)
 

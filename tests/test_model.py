@@ -53,13 +53,14 @@ def simple_batch(pos_dots, neg_dots):
 def test_zero_parameters_give_half_everywhere():
     m = zeroed_model()
     out = m.forward(np.random.default_rng(0).random((16, 16, 3)))
+    assert np.all(out.logit.data == 0.0)
     assert np.all(out.saliency.data == 0.5)
 
 
 def test_forward_shape_contract():
     m = SaliencyModel(seed=2)
     out = m.forward(np.zeros((64, 64, 3)))
-    assert out.saliency.shape == (64, 64)
+    assert out.saliency.shape == out.logit.shape == (64, 64)
     assert out.feat.shape == (8, 8, 32)
     out = m.forward(np.zeros((32, 48, 3)))
     assert out.saliency.shape == (32, 48)
@@ -82,6 +83,7 @@ def test_saliency_bounded_and_finite():
     out = m.forward(rng.random((24, 24, 3)))
     assert np.all(out.saliency.data > 0.0)
     assert np.all(out.saliency.data < 1.0)
+    assert np.array_equal(out.saliency.data, T.sigmoid(out.logit).data)
     assert np.all(np.isfinite(out.feat.data))
 
 
@@ -131,18 +133,18 @@ def test_ablation_flag_disables_attention_branches():
 def test_total_loss_perfect_predictions():
     rng = np.random.default_rng(277)
     targets = [(rng.random((8, 8)) < 0.5).astype(np.float64) for _ in range(3)]
-    sals = [T.constant(t.copy()) for t in targets]
-    total, l_bce, l_cl = total_loss(sals, targets, [], tau=0.1)
-    assert total.item() <= 2e-7
+    logits = [T.constant(40.0 * (2.0 * t - 1.0)) for t in targets]
+    total, l_bce, l_cl = total_loss(logits, targets, [], tau=0.1)
+    assert total.item() <= 1e-17
     assert l_cl.item() == 0.0
     assert total.item() == l_bce.item()
 
 
 def test_total_loss_double_ln2():
     targets = [np.zeros((4, 4)), np.ones((4, 4))]
-    sals = [T.constant(np.full((4, 4), 0.5)) for _ in range(2)]
+    logits = [T.constant(np.zeros((4, 4))) for _ in range(2)]   # saliency 0.5
     batches = [simple_batch([0.4, 0.4], [0.4, 0.4])]
-    total, l_bce, l_cl = total_loss(sals, targets, batches, tau=0.1)
+    total, l_bce, l_cl = total_loss(logits, targets, batches, tau=0.1)
     assert abs(l_bce.item() - np.log(2.0)) <= 1e-12
     assert abs(l_cl.item() - np.log(2.0)) <= 1e-12
     assert abs(total.item() - 2.0 * np.log(2.0)) <= 1e-12
@@ -151,11 +153,11 @@ def test_total_loss_double_ln2():
 def test_total_loss_recomposition_oracle():
     rng = np.random.default_rng(281)
     targets = [(rng.random((6, 6)) < 0.5).astype(np.float64) for _ in range(4)]
-    sals = [T.constant(rng.uniform(0.05, 0.95, (6, 6))) for _ in range(4)]
+    logits = [T.constant(rng.uniform(-3.0, 3.0, (6, 6))) for _ in range(4)]
     batches = [simple_batch(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 2)),
                simple_batch(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 4))]
-    total, l_bce, l_cl = total_loss(sals, targets, batches, tau=0.2)
-    ref_bce = np.mean([bce_loss(s, t).item() for s, t in zip(sals, targets)])
+    total, l_bce, l_cl = total_loss(logits, targets, batches, tau=0.2)
+    ref_bce = np.mean([bce_loss(z, t).item() for z, t in zip(logits, targets)])
     ref_cl = np.mean([infonce_loss(b, 0.2).item() for b in batches])
     assert abs(l_bce.item() - ref_bce) <= 1e-12
     assert abs(l_cl.item() - ref_cl) <= 1e-12

@@ -525,20 +525,20 @@ def test_upsample_adjoint_identity():
 def test_bce_half_is_ln2():
     rng = np.random.default_rng(95)
     t = (rng.random((6, 6)) < 0.5).astype(np.float64)
-    loss = bce_loss(T.constant(np.full((6, 6), 0.5)), t).item()
+    loss = bce_loss(T.constant(np.zeros((6, 6))), t).item()   # sigmoid(0) = 0.5
     assert abs(loss - np.log(2.0)) <= 1e-15
 
 
 def test_bce_perfect_prediction_tiny():
     t = np.array([[1.0, 0.0], [0.0, 1.0]])
-    loss = bce_loss(T.constant(t.copy()), t).item()
-    assert 0.0 <= loss <= 2e-7
+    loss = bce_loss(T.constant(40.0 * (2.0 * t - 1.0)), t).item()
+    assert 0.0 <= loss <= 1e-17   # log1p(exp(-40)) = 4.2e-18 per pixel at most
 
 
 def test_bce_2x2_formula_oracle():
     p = np.array([[0.9, 0.1], [0.8, 0.2]])
     t = np.array([[1.0, 0.0], [1.0, 0.0]])
-    loss = bce_loss(T.constant(p), t).item()
+    loss = bce_loss(T.constant(np.log(p / (1.0 - p))), t).item()
     ref = -(np.log(0.9) + np.log(0.9) + np.log(0.8) + np.log(0.8)) / 4.0
     assert abs(loss - ref) <= 1e-14
 
@@ -546,21 +546,22 @@ def test_bce_2x2_formula_oracle():
 def test_bce_nonnegative():
     rng = np.random.default_rng(97)
     for _ in range(20):
-        p = rng.random((3, 3))
+        z = rng.uniform(-10.0, 10.0, (3, 3))
         t = (rng.random((3, 3)) < 0.5).astype(np.float64)
-        assert bce_loss(T.constant(p), t).item() >= 0.0
+        assert bce_loss(T.constant(z), t).item() >= 0.0
 
 
-def test_bce_gradient_interior_and_clamped():
-    p = T.parameter(np.array([[0.9, 0.1], [0.0, 1.0]]))
+def test_bce_gradient_interior_and_saturated():
+    z = T.parameter(np.array([[np.log(9.0), -np.log(9.0)], [40.0, -40.0]]))
     t = np.array([[1.0, 0.0], [0.0, 1.0]])
     with GradTape() as tape:
-        loss = bce_loss(p, t)
-    (dp,) = tape.gradient(loss, [p])
-    # interior pixels follow (p - t) / (p (1-p)) / n; clamped pixels freeze
-    assert abs(dp[0, 0] - (0.9 - 1.0) / (0.9 * 0.1) / 4.0) <= 1e-12
-    assert abs(dp[0, 1] - (0.1 - 0.0) / (0.1 * 0.9) / 4.0) <= 1e-12
-    assert dp[1, 0] == 0.0
-    assert dp[1, 1] == 0.0
+        loss = bce_loss(z, t)
+    (dz,) = tape.gradient(loss, [z])
+    # every pixel follows (sigmoid(z) - t) / n, so a saturated logit with
+    # the wrong target still gets about +-1/n and can move back
+    assert abs(dz[0, 0] - (0.9 - 1.0) / 4.0) <= 1e-15
+    assert abs(dz[0, 1] - (0.1 - 0.0) / 4.0) <= 1e-15
+    assert abs(dz[1, 0] - 1.0 / 4.0) <= 1e-15
+    assert abs(dz[1, 1] + 1.0 / 4.0) <= 1e-15
     with pytest.raises(ShapeError):
-        bce_loss(p, np.zeros((3, 3)))
+        bce_loss(z, np.zeros((3, 3)))
