@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import pickle
 import signal
 import sys
 import time
@@ -127,26 +128,145 @@ def cmd_train(cfg: RunConfig) -> int:
     sample_rng = SplitMix64(mix64(cfg.seed + 1))
     rows = ["step,L,L_bce,L_cl"]
     report_every = max(1, cfg.steps // 10)
-    t0 = time.perf_counter()
-    try:
+    # The videos of a step train apart (see model.train_step), so n
+    # processes split them, one per video of the minibatch and per usable
+    # CPU. Each draws the same minibatches from its own copy of sample_rng
+    # and applies the same summed gradient, so all hold the same model.
+    n = min(cfg.batch_videos, len(os.sched_getaffinity(0)))
+    import socket   # here, not at the top: its import costs every command about 4 ms
+    links = [socket.socketpair() for _ in range(1, n)]   # (parent end, worker end)
+
+    def run(i):
+        # Keep only this process's ends, so each side reads the other's exit as EOF.
+        for j, (a, b) in enumerate(links, 1):
+            if i:
+                a.close()
+            if j != i:
+                b.close()
+        video_rows = np.empty((cfg.batch_videos, 2 + model.param_count()))
+        if i == 0:
+            steps(_Peer(0, n, [a for a, _ in links], video_rows))
+            return
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            steps(_Peer(i, n, [links[i - 1][1]], video_rows, caught))
+
+    def steps(peer):
         for step in range(1, cfg.steps + 1):
             batch = _sample_minibatch(sample_rng, train_videos,
                                       cfg.batch_videos, cfg.batch_frames)
-            rec = train_step(model, batch, settings)
+            rec = train_step(model, batch, settings, peer)
+            if peer.rank:
+                continue
             rows.append(f"{step},{rec.loss:.8f},{rec.bce:.8f},{rec.contrastive:.8f}")
             if step % report_every == 0 or step == cfg.steps:
                 print(f"step {step}/{cfg.steps}  L={rec.loss:.5f}  "
                       f"L_bce={rec.bce:.5f}  L_cl={rec.contrastive:.5f}")
+
+    _keep_freed_memory()
+    t0 = time.perf_counter()
+    try:
+        _run_split(n, run, "train")
     except FloatingPointError as e:
         # Keep the last finite state and the log collected so far.
         save_checkpoint(cfg.checkpoint_path, model)
         _write_loss_log(cfg, rows)
         raise CliError("numeric", str(e)) from None
+    finally:
+        for a, b in links:
+            a.close()
+            b.close()
     save_checkpoint(cfg.checkpoint_path, model)
     _write_loss_log(cfg, rows)
     dt = time.perf_counter() - t0
-    print(f"trained {cfg.steps} steps in {dt:.1f}s, checkpoint at {cfg.checkpoint_path}")
+    print(f"trained {cfg.steps} steps in {dt:.1f}s ({_processes(n)}), "
+          f"checkpoint at {cfg.checkpoint_path}")
     return 0
+
+
+class _Peer:
+    """This process's end of the exchange inside each train step.
+
+    share(a) fills in the rows of `a` (one per video of the minibatch) that
+    the other processes own; process r of `size` owns rows r, r + size, ...
+    Workers write first, and the parent reads, then writes: if both ends of
+    a socket wrote a 0.55 MB gradient row first, both would block on a full
+    buffer forever. Rows are read into `a` itself, and `rows`, allocated
+    once per call, holds train_step's per-video rows from step to step, so
+    no step allocates or joins buffers for the exchange. The warnings a
+    worker records travel with its rows and are raised again by the parent.
+    `socks` holds the parent's socket to each worker, or a worker's one to
+    the parent; with none, share has nothing to do.
+    """
+
+    def __init__(self, rank: int, size: int, socks, rows: np.ndarray, caught=None):
+        self.rank, self.size, self.socks, self.rows, self.caught = rank, size, socks, rows, caught
+        self.head = np.zeros(1, dtype=np.int64)   # byte length of the pickled warnings
+
+    def share(self, a: np.ndarray) -> None:
+        if self.rank:
+            sock, = self.socks
+            blob = pickle.dumps([(str(w.message), w.category, w.filename, w.lineno)
+                                 for w in self.caught]) if self.caught else b""
+            self.caught.clear()
+            self.head[0] = len(blob)
+            sock.sendall(self.head)
+            sock.sendall(blob)
+            for v in range(self.rank, len(a), self.size):
+                sock.sendall(a[v:v + 1])
+            for v in range(len(a)):
+                if v % self.size != self.rank:
+                    _recv_into(sock, a[v:v + 1])
+            return
+        for r, sock in enumerate(self.socks, 1):
+            _recv_into(sock, self.head)
+            if self.head[0]:
+                blob = bytearray(int(self.head[0]))
+                _recv_into(sock, blob)
+                for w in pickle.loads(blob):
+                    _warn_again(*w)
+            for v in range(r, len(a), self.size):
+                _recv_into(sock, a[v:v + 1])
+        for r, sock in enumerate(self.socks, 1):
+            for v in range(len(a)):
+                if v % self.size != r:
+                    sock.sendall(a[v:v + 1])
+
+
+def _recv_into(sock, buf) -> None:
+    view = memoryview(buf).cast("B")
+    while view:
+        got = sock.recv_into(view)
+        if not got:
+            raise EOFError("the other train process closed its socket mid-step")
+        view = view[got:]
+
+
+def _warn_again(message: str, category, filename: str, lineno: int) -> None:
+    """Raise a warning recorded in a worker again, here, as if at its source
+    line: the filters, and the once-per-line registry of that line's module,
+    decide whether it prints, as they would in a one-process run."""
+    module = next((m for m in list(sys.modules.values())
+                   if getattr(m, "__file__", None) == filename), None)
+    registry = None if module is None else vars(module).setdefault("__warningregistry__", {})
+    warnings.warn_explicit(message, category, filename, lineno,
+                           module=getattr(module, "__name__", None), registry=registry)
+
+
+def _keep_freed_memory() -> None:
+    """Have glibc's malloc keep freed memory for the rest of the process:
+    arrays below 32 MB come from its heap, which is never trimmed. By
+    default each process hands a step's freed tape back and faults it in
+    again the next step, 1,200-2,000 page faults a step whatever its share
+    of the frames; that made two processes take about 23% more CPU time
+    than one on a 60-step 64x64 train, and 9% with the heap kept. Peak RSS
+    does not change. A libc without mallopt keeps its default."""
+    import ctypes
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD, its largest value
+        mallopt(-1, 1 << 30)    # M_TRIM_THRESHOLD
 
 
 def _write_loss_log(cfg: RunConfig, rows) -> None:
@@ -181,44 +301,65 @@ def cmd_infer(cfg: RunConfig, checkpoint, frames_dir) -> int:
     # Each map depends only on its frame, so n processes split the frames,
     # one per usable CPU and per 2^17 pixels of the call: below that, the
     # copy-on-write faults of a fork cost more than the split saves.
-    cpus = sorted(os.sched_getaffinity(0))
-    n = max(1, min(len(names), len(cpus), shape0[0] * shape0[1] * len(names) >> 17))
+    n = max(1, min(len(names), len(os.sched_getaffinity(0)),
+                   shape0[0] * shape0[1] * len(names) >> 17))
 
     def run(i):
-        if n > 1:
-            # A fresh fork shares its parent's CPU for its first 0.1-0.3 s;
-            # start each process on its own, then allow every CPU again.
-            os.sched_setaffinity(0, {cpus[i]})
-            os.sched_setaffinity(0, cpus)
         for name in names[i::n]:
             # No name binds the frame or its map: one kept alive through the next
             # frame's forward raised this loop's peak RSS by about 2.5 MB at 256x256.
             write_pgm(out / (Path(name).stem + ".pgm"),
                       model.forward(read_ppm(fdir / name)).saliency.data)
 
-    workers = []
+    _run_split(n, run, "infer")
+    print(f"wrote {len(names)} saliency maps to {out} ({_processes(n)})")
+    return 0
+
+
+def _processes(n: int) -> str:
+    return f"{n} process{'es' if n > 1 else ''}"
+
+
+def _run_split(n: int, run, what: str) -> None:
+    """Call run(i) for i in range(n): run(0) here, every other i in a forked
+    worker, each process started on its own usable CPU. A failing parent
+    terminates its workers, and every worker is reaped before this returns
+    or raises. A worker's failure is raised here as the exception its
+    report names, also in place of the parent's EOFError or ConnectionError
+    on its socket to that worker, which only means that the worker ended."""
+    cpus = sorted(os.sched_getaffinity(0))
+
+    def placed(i):
+        if n > 1:
+            # A fresh fork shares its parent's CPU for its first 0.1-0.3 s;
+            # start each process on its own, then allow every CPU again.
+            os.sched_setaffinity(0, {cpus[i]})
+            os.sched_setaffinity(0, cpus)
+        run(i)
+
+    workers, failure = [], None
     try:
         for i in range(1, n):
-            workers.append(_fork_worker(run, i))
-        run(0)
-    except BaseException:
+            workers.append(_fork_worker(placed, i))
+        placed(0)
+    except BaseException as e:
+        failure = e
         for pid, _ in workers:
             os.kill(pid, signal.SIGTERM)
-        raise
-    finally:
-        ends = [_reap(*w) for w in workers]
+    ends = [_reap(*w) for w in workers]
+    if failure is not None and not isinstance(failure, (EOFError, ConnectionError)):
+        raise failure
     for code, report in ends:
         if code:
             category, _, message = report.partition("\n")
             if category:
                 raise CliError(category, message)
             if message:   # an exception main would not catch either
-                raise RuntimeError(f"infer worker failed:\n{message}")
-            raise ChildProcessError(f"infer worker ended with exit status {code} "
+                raise RuntimeError(f"{what} worker failed:\n{message}")
+            raise ChildProcessError(f"{what} worker ended with exit status {code} "
                                     "and no report")
-    print(f"wrote {len(names)} saliency maps to {out} "
-          f"({n} process{'es' if n > 1 else ''})")
-    return 0
+    if failure is not None:
+        raise failure
 
 
 def _fork_worker(run, i) -> tuple[int, int]:
@@ -250,7 +391,8 @@ def _fork_worker(run, i) -> tuple[int, int]:
         report = f"{category}\n{_one_line(e)}" if category else "\n" + traceback.format_exc()
         os.write(w, report.encode())
     finally:
-        os.close(w)
+        # The only statement here: a SIGTERM raised after any other call
+        # could leave this block, and the worker would go on as the parent.
         os._exit(code)
 
 

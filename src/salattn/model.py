@@ -161,8 +161,11 @@ class SaliencyModel:
         return ForwardResult(T.sigmoid(logit), feat, logit)
 
 
-def total_loss(logits, targets, batches, tau: float):
-    """L = mean BCE of the frame logits + mean batch InfoNCE (zero when no batches).
+def total_loss(logits, targets, batches, tau: float, n_frames=None, n_batches=None):
+    """L = BCE of the frame logits + InfoNCE of the batches (zero when no
+    batches), each a sum divided by n_frames or n_batches: by default the
+    list lengths, the counts of a whole minibatch when these lists hold one
+    video of it.
 
     Returns (L, L_bce, L_cl) as scalar tensors, summed in fixed list order.
     """
@@ -173,54 +176,92 @@ def total_loss(logits, targets, batches, tau: float):
     acc = bce_loss(logits[0], targets[0])
     for z, t in zip(logits[1:], targets[1:]):
         acc = T.add(acc, bce_loss(z, t))
-    l_bce = T.scale(acc, 1.0 / len(logits))
+    l_bce = T.scale(acc, 1.0 / (n_frames or len(logits)))
 
     batches = list(batches)
     if batches:
         cl = infonce_loss(batches[0], tau)
         for b in batches[1:]:
             cl = T.add(cl, infonce_loss(b, tau))
-        l_cl = T.scale(cl, 1.0 / len(batches))
+        l_cl = T.scale(cl, 1.0 / (n_batches or len(batches)))
     else:
         l_cl = T.constant(0.0)
     return T.add(l_bce, l_cl), l_bce, l_cl
 
 
-def train_step(model: SaliencyModel, minibatch, settings: TrainSettings) -> LossRecord:
+def train_step(model: SaliencyModel, minibatch, settings: TrainSettings,
+               peer=None) -> LossRecord:
     """One SGD step over a list of (video_id, frame_idx, frame, mask) items.
 
     Updates parameters in place (theta <- theta - lr * grad, grad scaled down
     to MAX_GRAD_NORM if its norm is larger) and returns the pre-update loss
     values. Non-finite loss aborts before any update, naming the offending term.
+
+    Every InfoNCE batch stays inside its anchor's video, so the loss splits
+    into one term per video, given the minibatch's frame and batch counts.
+    One tape records every video; each video's gradient is its own
+    `gradient` call, which skips the other videos' records. The step adds
+    the per-video (L_bce, L_cl, gradient) rows left to right in video order.
+    A peer splits the videos over processes (see cli.cmd_train): this
+    process takes videos peer.rank, peer.rank + peer.size, ...; peer.rows
+    holds the rows from step to step, and peer.share(a) fills in the rows
+    of `a` that the other processes own. Every process then adds the same
+    rows, so the bits do not depend on the process count.
     """
     if not minibatch:
         raise ValueError("empty minibatch")
+    rank, size = (peer.rank, peer.size) if peer else (0, 1)
+    videos = {}
+    for item in minibatch:
+        videos.setdefault(item[0], []).append(item)
+    owned = range(rank, len(videos), size)
+    items = list(videos.values())
     params = list(model.params.values())
+    counts = np.zeros(len(videos))      # InfoNCE batches per video
     with GradTape() as tape:
-        logits, targets, feats = [], [], []
-        for video_id, frame_idx, frame, mask in minibatch:
-            r = model.forward(frame)
-            logits.append(r.logit)
-            targets.append(mask)
-            feats.append((video_id, frame_idx, r))
-        batches = []
-        if settings.use_contrastive:
-            features = []
-            for (video_id, frame_idx, r), mask in zip(feats, targets):
-                features.extend(extract_region_features(
-                    r.feat, mask, r.saliency.data, video_id, frame_idx))
-            batches = build_contrastive_batches(features, settings.k_pos, settings.k_neg)
-        loss, l_bce, l_cl = total_loss(logits, targets, batches, settings.tau)
+        terms = []
+        for v in owned:
+            logits, targets, features = [], [], []
+            for video_id, frame_idx, frame, mask in items[v]:
+                r = model.forward(frame)
+                logits.append(r.logit)
+                targets.append(mask)
+                if settings.use_contrastive:
+                    features.extend(extract_region_features(
+                        r.feat, mask, r.saliency.data, video_id, frame_idx))
+            batches = (build_contrastive_batches(features, settings.k_pos, settings.k_neg)
+                       if settings.use_contrastive else [])
+            counts[v] = len(batches)
+            terms.append((logits, targets, batches))
+        if peer:
+            peer.share(counts)
+        n_batches = int(counts.sum())
+        losses = [total_loss(*t, settings.tau, len(minibatch), n_batches) for t in terms]
 
-    record = LossRecord(loss.item(), l_bce.item(), l_cl.item())
+    rows = peer.rows if peer else np.empty((len(videos), 2 + sum(p.data.size for p in params)))
+    for v, (loss, l_bce, l_cl) in zip(owned, losses):
+        rows[v, :2] = l_bce.item(), l_cl.item()
+        off = 2
+        for g in tape.gradient(loss, params):
+            rows[v, off:off + g.size] = g.ravel()
+            off += g.size
+    if peer:
+        peer.share(rows)
+    total = rows[0]
+    for row in rows[1:]:
+        total += row
+
+    record = LossRecord(float(total[0] + total[1]), float(total[0]), float(total[1]))
     for name, value in (("L_bce", record.bce), ("L_cl", record.contrastive), ("L", record.loss)):
         if not np.isfinite(value):
             raise FloatingPointError(f"non-finite loss term {name}")
-    grads = tape.gradient(loss, params)
-    norm = math.sqrt(sum(float(np.vdot(g, g)) for g in grads))
-    lr = settings.lr if norm <= MAX_GRAD_NORM else settings.lr * MAX_GRAD_NORM / norm
-    for p, g in zip(params, grads):
-        p.data -= lr * g
+    grad = total[2:]
+    norm = math.sqrt(float(np.vdot(grad, grad)))
+    grad *= settings.lr if norm <= MAX_GRAD_NORM else settings.lr * MAX_GRAD_NORM / norm
+    off = 0
+    for p in params:
+        p.data -= grad[off:off + p.data.size].reshape(p.data.shape)
+        off += p.data.size
     for name, p in model.params.items():
         if not np.all(np.isfinite(p.data)):
             raise FloatingPointError(f"non-finite parameter {name} after update")

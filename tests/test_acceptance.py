@@ -4,8 +4,9 @@ The expensive part, the full toy pipeline (synth 10 videos -> train 2000
 steps -> infer + eval on the 2 held-out videos), runs once in a
 module-scoped fixture together with its ablated twin (attention and
 contrastive paths disabled) and the bitwise determinism replicas; the
-two arms train concurrently as two `salattn train` processes. The
-individual tests then assert one bar each so a failure reads cleanly.
+two arms train concurrently as two `salattn train` processes, each held
+to its own CPU, and the replicas train in process. The individual tests
+then assert one bar each so a failure reads cleanly.
 """
 
 import hashlib
@@ -53,18 +54,23 @@ def overall_row(metrics_txt):
     raise AssertionError(f"no overall row in {metrics_txt}")
 
 
-def start_train(base, data_root, tag, use_attention, use_contrastive):
-    """Launch an arm's default-protocol `train` as its own process, so both
-    arms train at once, each on the one BLAS thread the CLI pins."""
+def start_train(base, data_root, tag, use_attention, use_contrastive, k):
+    """Launch arm k's default-protocol `train` as its own process, held to
+    usable CPU k (modulo their count), so both arms train at once, each in
+    one process on the one BLAS thread the CLI pins. Unheld, each would
+    split its steps over two processes, four on two cores, and the pair ran
+    slower."""
     arm = base / tag
     cfg = write_cfg(arm / "run.cfg", seed=1, dataset_root=data_root,
                     checkpoint_path=arm / "model.ckpt", output_dir=arm / "out",
                     use_attention=use_attention, use_contrastive=use_contrastive)
     src = str(Path(__file__).resolve().parent.parent / "src")
+    cpus = sorted(os.sched_getaffinity(0))
     with open(arm / "train.log", "wb") as log:
         proc = subprocess.Popen([sys.executable, "-m", "salattn.cli", "train", "--config", cfg],
                                 stdout=log, stderr=subprocess.STDOUT,
-                                env=dict(os.environ, PYTHONPATH=src))
+                                env=dict(os.environ, PYTHONPATH=src),
+                                preexec_fn=lambda: os.sched_setaffinity(0, {cpus[k % len(cpus)]}))
     return proc, time.perf_counter()
 
 
@@ -112,7 +118,8 @@ def pipeline(tmp_path_factory):
     assert main(["synth", "--config", cfg_b]) == 0
 
     arms = {"full": (1, 1), "ablated": (0, 0)}
-    trains = {tag: start_train(base, data_root, tag, *flags) for tag, flags in arms.items()}
+    trains = {tag: start_train(base, data_root, tag, *flags, k)
+              for k, (tag, flags) in enumerate(arms.items())}
     try:
         # The full arm is reaped first, so its t_train is its own wall time.
         full, ablated = (finish_arm(base, data_root, tag, *flags, trains[tag])

@@ -4,8 +4,8 @@ Everything runs in-process through main(argv) so stdout/stderr and exit
 codes are observable with capsys; the final tests go through a real
 interpreter subprocess: the one-line warning format, a smoke test, the
 one-line memory error, the BLAS thread pin and its bitwise promise,
-`infer`'s split over processes and its failures, runs under perfbench's
-tracer, and perfbench's SGD check on a loaded dataset. Small
+`infer`'s and `train`'s splits over processes and their failures, runs
+under perfbench's tracer, and perfbench's SGD check on a loaded dataset. Small
 datasets (16x16 or 32x32, a few frames) keep the training-path tests fast.
 """
 
@@ -715,13 +715,12 @@ def clips(tmp_path_factory):
     return root, want
 
 
-def run_infer(root, size, out, **popen):
-    """`python -m salattn.cli infer` of the `clips` clip of this size into
-    out: the finished Popen, its stdout and its stderr."""
-    cfg = write_cfg(out.with_suffix(".cfg"), checkpoint_path=root / "model.ckpt", output_dir=out)
+def run_cli(args, **popen):
+    """A fresh interpreter on src/ with no BLAS thread variable, run with
+    `args` and Popen's `popen`: the finished Popen, its stdout and its
+    stderr."""
     base = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
-    with subprocess.Popen([sys.executable, "-m", "salattn.cli", "infer", "--config", cfg,
-                           "--frames", str(root / f"frames{size}")],
+    with subprocess.Popen([sys.executable, *args],
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                           env=dict(base, PYTHONPATH=str(ROOT / "src")), **popen) as proc:
         try:
@@ -730,6 +729,14 @@ def run_infer(root, size, out, **popen):
             proc.kill()
             raise
     return proc, out, err
+
+
+def run_infer(root, size, out, **popen):
+    """`python -m salattn.cli infer` of the `clips` clip of this size into
+    out: the finished Popen, its stdout and its stderr."""
+    cfg = write_cfg(out.with_suffix(".cfg"), checkpoint_path=root / "model.ckpt", output_dir=out)
+    return run_cli(["-m", "salattn.cli", "infer", "--config", cfg,
+                    "--frames", str(root / f"frames{size}")], **popen)
 
 
 def _one_cpu():
@@ -801,6 +808,145 @@ def test_infer_worker_killed_or_failing_unexpectedly(clips, tmp_path, monkeypatc
     else:
         with pytest.raises(RuntimeError, match=r"(?s)infer worker failed.*KeyError"):
             main(argv)
+
+
+def train_config(tmp_path, name, **over):
+    """A 3-step train over two 4-frame 32x32 videos: k_pos = 4 asks for one
+    more positive than the other 3 frames give, so every anchor of either
+    video warns."""
+    entries = dict(n_videos=2, frames_per_video=4, height=32, width=32, holdout=0,
+                   batch_frames=4, k_pos=4, steps=3, dataset_root=tmp_path / "data",
+                   checkpoint_path=tmp_path / name / "model.ckpt", output_dir=tmp_path / name)
+    entries.update(over)
+    return write_cfg(tmp_path / f"{name}.cfg", **entries)
+
+
+def test_train_same_bytes_at_any_process_count(tmp_path):
+    """train splits each step's videos over one process per video of the
+    minibatch and per usable CPU, names the count on its summary line, and
+    writes the same checkpoint, loss log and stderr at either count: the
+    warnings a worker records cross to the parent, which prints each once."""
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs 2 usable CPUs")
+    assert main(["synth", "--config", train_config(tmp_path, "synth")]) == 0
+    runs = {}
+    for name, restrict, over in (("two", None, {}), ("one", _one_cpu, {}),
+                                 ("single", None, {"batch_videos": 1})):
+        proc, out, err = run_cli(["-m", "salattn.cli", "train", "--config",
+                                  train_config(tmp_path, name, **over)], preexec_fn=restrict)
+        assert proc.returncode == 0, err
+        runs[name] = (hashlib.sha256((tmp_path / name / "model.ckpt").read_bytes()).hexdigest(),
+                      (tmp_path / name / "loss_log.csv").read_bytes(), err, out.splitlines()[-1])
+    assert runs["two"][:3] == runs["one"][:3]
+    assert runs["two"][2] == "WARNING[DegenerateBatchWarning] mining pool smaller than " \
+                             "requested k, using all candidates\n"
+    assert "(2 processes), checkpoint at" in runs["two"][3]
+    assert "(1 process), checkpoint at" in runs["one"][3]
+    assert "(1 process), checkpoint at" in runs["single"][3]
+
+
+def test_train_worker_warning_reaches_the_caller(tmp_path, monkeypatch):
+    """A warning raised only in the worker is recorded there and raised
+    again in the parent, where the caller's filters see it; under this
+    suite's filterwarnings = error, the worker does not die of it."""
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs 2 usable CPUs")
+    cfg = train_config(tmp_path, "run", k_pos=3)
+    assert main(["synth", "--config", cfg]) == 0
+    parent, mine = os.getpid(), cli.train_step
+
+    def step_warning_in_worker(*args):
+        if os.getpid() != parent:
+            warnings.warn("raised in the worker", DegenerateBatchWarning)
+        return mine(*args)
+
+    monkeypatch.setattr(cli, "train_step", step_warning_in_worker)
+    with pytest.warns(DegenerateBatchWarning, match="raised in the worker"):
+        assert main(["train", "--config", cfg]) == 0
+
+
+TRAIN_FAULT = """
+import os, signal, sys
+from salattn import cli
+parent, step, fault = os.getpid(), cli.train_step, sys.argv[1]
+calls = 0
+
+def faulty(*args):
+    global calls
+    calls += 1
+    if calls == 2 and (os.getpid() == parent) == fault.startswith("parent"):
+        if fault == "worker-killed":
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise OSError("injected at step 2")
+    return step(*args)
+
+cli.train_step = faulty
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("fault", ["worker-killed", "worker-oserror", "parent-oserror"])
+def test_train_failure_in_either_process_is_one_error_line(tmp_path, fault):
+    """A worker killed at step 2 is one ERROR[io] line naming its exit
+    status; an OSError at step 2 in either process is its one ERROR[io]
+    line. The parent does not wait on a dead worker's pipe, terminates a
+    live one when it fails itself, and leaves no process of its session
+    running."""
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs 2 usable CPUs")
+    cfg = train_config(tmp_path, "run", k_pos=3)
+    assert main(["synth", "--config", cfg]) == 0
+    proc, out, err = run_cli(["-c", TRAIN_FAULT, fault, "train", "--config", cfg],
+                             start_new_session=True)
+    assert proc.returncode == 1, err
+    assert one_error_line(err, "io"), err
+    assert (f"exit status {-signal.SIGKILL}" if fault == "worker-killed"
+            else "injected at step 2") in err
+    assert "trained" not in out
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+
+
+def test_train_worker_failing_unexpectedly_raises_its_traceback(tmp_path, monkeypatch):
+    """An exception main does not catch, raised in the worker, reaches the
+    caller as in a one-process run, carrying the worker's traceback."""
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs 2 usable CPUs")
+    cfg = train_config(tmp_path, "run", k_pos=3)
+    assert main(["synth", "--config", cfg]) == 0
+    parent = os.getpid()
+
+    def broken_step(*args):
+        if os.getpid() != parent:
+            raise KeyError("no such video")
+        return step(*args)
+
+    step = cli.train_step
+    monkeypatch.setattr(cli, "train_step", broken_step)
+    with pytest.raises(RuntimeError, match=r"(?s)train worker failed.*KeyError"):
+        main(["train", "--config", cfg])
+
+
+def test_train_non_finite_loss_saves_last_finite_state_once(tmp_path, monkeypatch, capsys):
+    """At lr 1e30 step 1 stays finite and step 2's loss overflows. The run
+    prints one ERROR[numeric] line, keeps the 1-row loss log, and saves one
+    checkpoint: the state after step 1, bit for bit that of a 1-step run."""
+    cfg = train_config(tmp_path, "one", k_pos=3, lr=1e30, steps=1)
+    assert main(["synth", "--config", cfg]) == 0
+    saves, save = [], cli.save_checkpoint
+    monkeypatch.setattr(cli, "save_checkpoint", lambda path, m: saves.append(path) or save(path, m))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # the overflow on the way
+        assert main(["train", "--config", cfg]) == 0
+        saves.clear()
+        capsys.readouterr()
+        assert main(["train", "--config", train_config(tmp_path, "three", k_pos=3,
+                                                       lr=1e30)]) == 1
+    assert one_error_line(capsys.readouterr().err, "numeric")
+    assert saves == [str(tmp_path / "three" / "model.ckpt")]
+    assert ((tmp_path / "three" / "model.ckpt").read_bytes()
+            == (tmp_path / "one" / "model.ckpt").read_bytes())
+    assert len((tmp_path / "three" / "loss_log.csv").read_text().splitlines()) == 2
 
 
 def test_perfbench_tracer_runs_train(tmp_path):
